@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/tuner_factory.h"
 #include "src/optimizer/random_sampler.h"
 #include "src/problems/counting_ones.h"
 #include "src/runtime/simulated_cluster.h"
@@ -234,6 +235,47 @@ TEST(GoldenHistoryTest, AsyncBracketSchedulerMatchesSeedRevision) {
 TEST(GoldenHistoryTest, BatchBoSchedulerMatchesSeedRevision) {
   EXPECT_EQ(RunBatchBo(0.0), 15922871452540299455ULL);
   EXPECT_EQ(RunBatchBo(0.4), 9194569102725825520ULL);
+}
+
+/// RunResultDigest of a ~150-trial run of `method`, built by CreateTuner
+/// on a small counting-ones problem with 6 simulated workers. Also returns
+/// |D_K|, so a test can check that theta left its data-availability
+/// fallback (ranking losses need |D_K| >= 5).
+uint64_t RunMethod(Method method, size_t* top_level_size) {
+  CountingOnesOptions problem_options;
+  problem_options.num_categorical = 4;
+  problem_options.num_continuous = 4;
+  CountingOnes problem(problem_options);
+  TunerFactoryOptions factory;
+  factory.method = method;
+  factory.seed = 7;
+  std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
+  ClusterOptions options;
+  options.num_workers = 6;
+  options.time_budget_seconds = 1e9;
+  options.max_trials = 150;
+  options.seed = 42;
+  options.straggler_sigma = 0.3;
+  RunResult result = tuner->Run(problem, options);
+  ExpectNoFaultActivity(result);
+  const MeasurementStore& store = *tuner->store();
+  *top_level_size = store.group(store.num_levels()).size();
+  return RunResultDigest(result);
+}
+
+// Pins the paper's own method (learned brackets + D-ASHA + MFES sampler)
+// and MFES-HB, so changes to the forest, the ensemble or theta estimation
+// can be shown to be bit-identical.
+TEST(GoldenHistoryTest, HyperTuneMatchesPinnedDigest) {
+  size_t top = 0;
+  EXPECT_EQ(RunMethod(Method::kHyperTune, &top), 3341994960778173447ULL);
+  EXPECT_GE(top, 5u);
+}
+
+TEST(GoldenHistoryTest, MfesHbMatchesPinnedDigest) {
+  size_t top = 0;
+  EXPECT_EQ(RunMethod(Method::kMfesHb, &top), 10370515307619391677ULL);
+  EXPECT_GE(top, 5u);
 }
 
 }  // namespace

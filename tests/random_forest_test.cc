@@ -1,10 +1,12 @@
 #include "src/surrogate/random_forest.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/linalg/matrix.h"
 
 namespace hypertune {
 namespace {
@@ -153,6 +155,57 @@ TEST(RandomForestTest, PredictiveVarianceIsPositive) {
   for (double v : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     EXPECT_GT(rf.Predict({v}).variance, 0.0);
   }
+}
+
+/// FNV-1a over the bit patterns of every PredictBatch mean and variance of
+/// a forest fitted on fixed mixed categorical/numeric data: features 0 and
+/// 1 are categorical in {0, 1, 2}, features 2..4 numeric in [0, 1).
+uint64_t ForestPredictionDigest(RandomForestOptions options, int n) {
+  Rng rng(31);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row = {static_cast<double>(rng.UniformInt(0, 2)),
+                               static_cast<double>(rng.UniformInt(0, 2)),
+                               rng.Uniform(), rng.Uniform(), rng.Uniform()};
+    y.push_back((row[0] == 1.0 ? -1.0 : 0.0) + 0.5 * row[1] +
+                Smooth2d(row[2], row[3]) + 0.1 * rng.Uniform());
+    x.push_back(std::move(row));
+  }
+  RandomForest rf(options);
+  rf.SetCategoricalFeatures({true, true, false, false, false});
+  EXPECT_TRUE(rf.Fit(x, y).ok());
+  Matrix at(64, 5);
+  for (size_t r = 0; r < at.rows(); ++r) {
+    at(r, 0) = static_cast<double>(rng.UniformInt(0, 2));
+    at(r, 1) = static_cast<double>(rng.UniformInt(0, 2));
+    for (size_t c = 2; c < 5; ++c) at(r, c) = rng.Uniform();
+  }
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix_double = [&hash](double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    hash ^= bits;
+    hash *= 1099511628211ULL;
+  };
+  for (const Prediction& p : rf.PredictBatch(at)) {
+    mix_double(p.mean);
+    mix_double(p.variance);
+  }
+  return hash;
+}
+
+// Pins the exact output of the fit kernel, so that layout or allocation
+// changes inside Fit are provably bit-identical.
+TEST(RandomForestTest, PredictionsMatchPinnedDigest) {
+  RandomForestOptions options;
+  options.seed = 5;
+  EXPECT_EQ(ForestPredictionDigest(options, 300), 10921897743278751210ULL);
+  options.bootstrap = false;
+  EXPECT_EQ(ForestPredictionDigest(options, 300), 8428439233652704508ULL);
+  options.bootstrap = true;
+  options.max_points = 150;  // n > max_points takes the cap path
+  EXPECT_EQ(ForestPredictionDigest(options, 400), 3289362216176239408ULL);
 }
 
 }  // namespace
