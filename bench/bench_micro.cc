@@ -8,7 +8,8 @@
 // Output: besides the usual console table, every run writes BENCH_micro.json
 // (schema_version 1; see tools/lint.py --validate-bench). Flags handled here
 // before google-benchmark sees the rest:
-//   --quick            run only the cheap data-structure kernels (CI smoke)
+//   --quick            run only the cheap data-structure kernels plus the
+//                      forest fit and theta estimation (CI smoke)
 //   --bench_json=PATH  where to write the JSON report (default
 //                      BENCH_micro.json in the working directory)
 
@@ -277,6 +278,34 @@ void BM_FidelityWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_FidelityWeights);
 
+/// A warm theta refresh: after each new measurement (at a rotating level)
+/// the estimate is recomputed, so unchanged levels reuse their fits and
+/// the cross-validation of M_K reruns only when D_K changed. Fixed
+/// iterations keep the store growth, and so the work, identical per run.
+void BM_FidelityWeightsRefresh(benchmark::State& state) {
+  ConfigurationSpace space = MakeSpace(6);
+  Rng rng(3);
+  MeasurementStore store(4);
+  auto add = [&](int i) {
+    Configuration c = space.Sample(&rng);
+    double y = (c[0] - 0.5) * (c[0] - 0.5);
+    store.Add(1 + i % 4, c, y);
+  };
+  for (int i = 0; i < 200; ++i) add(i);
+  FidelityWeightsOptions options;
+  options.refresh_interval = 1;
+  FidelityWeights weights(&space, options);
+  benchmark::DoNotOptimize(weights.ComputeTheta(store));
+  int i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    add(i++);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(weights.ComputeTheta(store));
+  }
+}
+BENCHMARK(BM_FidelityWeightsRefresh)->Iterations(40);
+
 void BM_MfesSample(benchmark::State& state) {
   ConfigurationSpace space = MakeSpace(6);
   MeasurementStore store(4);
@@ -366,8 +395,9 @@ BENCHMARK(BM_HyperTuneEndToEnd)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 // ---------------------------------------------------------------------------
 // Scalability kernels: the data structures behind the planetary-scale
-// simulator (DESIGN.md §9). These are the benchmarks the CI smoke job runs
-// (`--quick`); keep them allocation-bounded so they finish in seconds.
+// simulator (DESIGN.md §9). The CI smoke job runs these (`--quick`), with
+// BM_RfFit and the BM_FidelityWeights pair; keep them allocation-bounded so
+// they finish in seconds.
 // ---------------------------------------------------------------------------
 
 struct QEvent {
@@ -601,10 +631,12 @@ void BM_SimCoreEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
-/// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels.
+/// Benchmarks `--quick` keeps: the allocation-bounded data-structure
+/// kernels, plus the forest fit and theta estimation that dominate a
+/// Hyper-Tune run's driver time.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend)";
+    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

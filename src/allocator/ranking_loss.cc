@@ -23,27 +23,38 @@ int64_t CountMisrankedPairs(const std::vector<double>& predictions,
   return loss;
 }
 
-int64_t CountMisrankedPairsOnSubset(const std::vector<double>& predictions,
-                                    const std::vector<double>& truths,
-                                    const std::vector<size_t>& subset) {
+PairDisagreements::PairDisagreements(const std::vector<double>& predictions,
+                                     const std::vector<double>& truths)
+    : n_(predictions.size()), disagree_(n_ * n_) {
   HT_CHECK(predictions.size() == truths.size())
       << "ranking loss: size mismatch";
-  int64_t loss = 0;
-  for (size_t j : subset) {
-    for (size_t k : subset) {
+  for (size_t j = 0; j < n_; ++j) {
+    for (size_t k = 0; k < n_; ++k) {
       bool pred_less = predictions[j] < predictions[k];
       bool true_less = truths[j] < truths[k];
-      if (pred_less != true_less) ++loss;
+      disagree_[j * n_ + k] = pred_less != true_less ? 1 : 0;
     }
+  }
+}
+
+int64_t PairDisagreements::Loss(const std::vector<int32_t>& counts) const {
+  HT_CHECK(counts.size() == n_) << "ranking loss: count size mismatch";
+  int64_t loss = 0;
+  for (size_t j = 0; j < n_; ++j) {
+    if (counts[j] == 0) continue;
+    const int32_t* row = disagree_.data() + j * n_;
+    // A row sum is at most sum(counts), the resample size.
+    int32_t row_loss = 0;
+    for (size_t k = 0; k < n_; ++k) row_loss += row[k] * counts[k];
+    loss += static_cast<int64_t>(counts[j]) * row_loss;
   }
   return loss;
 }
 
-std::vector<double> FitAndPredict(const ConfigurationSpace& space,
-                                  const std::vector<Measurement>& fit_on,
-                                  const std::vector<Measurement>& eval_at,
-                                  const SurrogateFactory& factory) {
-  if (fit_on.size() < 2 || eval_at.empty()) return {};
+std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
+                                        const std::vector<Measurement>& fit_on,
+                                        const SurrogateFactory& factory) {
+  if (fit_on.size() < 2) return nullptr;
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   x.reserve(fit_on.size());
@@ -53,14 +64,29 @@ std::vector<double> FitAndPredict(const ConfigurationSpace& space,
     y.push_back(m.objective);
   }
   std::unique_ptr<Surrogate> model = factory();
-  if (!model->Fit(x, y).ok()) return {};
+  if (!model->Fit(x, y).ok()) return nullptr;
+  return model;
+}
 
+std::vector<double> PredictMeans(const Surrogate* model,
+                                 const ConfigurationSpace& space,
+                                 const std::vector<Measurement>& eval_at) {
+  if (model == nullptr) return {};
   std::vector<double> predictions;
   predictions.reserve(eval_at.size());
   for (const Measurement& m : eval_at) {
     predictions.push_back(model->Predict(space.Encode(m.config)).mean);
   }
   return predictions;
+}
+
+std::vector<double> FitAndPredict(const ConfigurationSpace& space,
+                                  const std::vector<Measurement>& fit_on,
+                                  const std::vector<Measurement>& eval_at,
+                                  const SurrogateFactory& factory) {
+  if (eval_at.empty()) return {};
+  return PredictMeans(FitSurrogate(space, fit_on, factory).get(), space,
+                      eval_at);
 }
 
 std::vector<double> CrossValidationPredictions(

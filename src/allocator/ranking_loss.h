@@ -22,12 +22,38 @@ using SurrogateFactory = std::function<std::unique_ptr<Surrogate>()>;
 int64_t CountMisrankedPairs(const std::vector<double>& predictions,
                             const std::vector<double>& truths);
 
-/// Like CountMisrankedPairs but restricted to the index multiset `subset`
-/// (a bootstrap resample of [0, n)); used by the MCMC estimate of theta
-/// (Eq. 2).
-int64_t CountMisrankedPairsOnSubset(const std::vector<double>& predictions,
-                                    const std::vector<double>& truths,
-                                    const std::vector<size_t>& subset);
+/// The ordered-pair disagreements of Eq. (1) between one set of
+/// predictions and the truths, tabulated once so that every bootstrap
+/// resample of Eq. (2) is scored without comparing values again: entry
+/// (j, k) is 1[(pred_j < pred_k) XOR (y_j < y_k)].
+class PairDisagreements {
+ public:
+  /// Requires equal sizes.
+  PairDisagreements(const std::vector<double>& predictions,
+                    const std::vector<double>& truths);
+
+  /// Ranking loss on the resample that holds index i `counts[i]` times:
+  /// sum_{j,k} counts[j] * counts[k] * disagree(j, k), the value
+  /// CountMisrankedPairs takes on the resample's predictions and truths.
+  /// Requires counts.size() == the size given at construction.
+  int64_t Loss(const std::vector<int32_t>& counts) const;
+
+ private:
+  size_t n_;
+  std::vector<int32_t> disagree_;  // row-major n x n
+};
+
+/// Fits a fresh surrogate on `fit_on`. Returns null when `fit_on` is too
+/// small (< 2) or the fit fails.
+std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
+                                        const std::vector<Measurement>& fit_on,
+                                        const SurrogateFactory& factory);
+
+/// Mean predictions of `model` at the configurations of `eval_at`; empty
+/// when `model` is null.
+std::vector<double> PredictMeans(const Surrogate* model,
+                                 const ConfigurationSpace& space,
+                                 const std::vector<Measurement>& eval_at);
 
 /// Fits a fresh surrogate on `fit_on` and returns its mean predictions at
 /// the configurations of `eval_at`. Returns an empty vector when `fit_on`

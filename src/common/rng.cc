@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -69,18 +70,22 @@ Status Rng::DeserializeState(const std::string& state) {
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
+  std::vector<size_t> pool;
+  SampleWithoutReplacement(n, k, &pool);
+  pool.resize(std::min(k, n));
+  return pool;
+}
+
+void Rng::SampleWithoutReplacement(size_t n, size_t k,
+                                   std::vector<size_t>* pool) {
   // Partial Fisher-Yates over an index vector; O(n) space, O(k) swaps.
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < n; ++i) indices[i] = i;
-  std::vector<size_t> out;
-  out.reserve(k);
+  pool->resize(n);
+  for (size_t i = 0; i < n; ++i) (*pool)[i] = i;
   for (size_t i = 0; i < k && i < n; ++i) {
     size_t j = static_cast<size_t>(
         UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
-    std::swap(indices[i], indices[j]);
-    out.push_back(indices[i]);
+    std::swap((*pool)[i], (*pool)[j]);
   }
-  return out;
 }
 
 }  // namespace hypertune

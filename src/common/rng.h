@@ -62,6 +62,11 @@ class Rng {
   /// Requires k <= n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
+  /// Allocation-free form of SampleWithoutReplacement with the same draws:
+  /// refills `pool` with [0, n) and leaves the sample in its first
+  /// min(k, n) entries. Reusing `pool` across calls avoids the heap.
+  void SampleWithoutReplacement(size_t n, size_t k, std::vector<size_t>* pool);
+
   /// Fisher-Yates shuffles `values` in place.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

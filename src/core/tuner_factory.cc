@@ -196,7 +196,13 @@ std::unique_ptr<Tuner> CreateTuner(const TuningProblem& problem,
       mfes.bo.surrogate = options.surrogate;
       mfes.bo.seed = CombineSeeds(options.seed, 0x3FE5ULL);
       mfes.weights.seed = CombineSeeds(options.seed, 0xF1DE11F1ULL);
-      sampler = std::make_unique<MfesSampler>(&space, store.get(), mfes);
+      auto mfes_sampler =
+          std::make_unique<MfesSampler>(&space, store.get(), mfes);
+      // Both theta consumers estimate from the same store with the same
+      // options: let the bracket selector's instance reuse the sampler's
+      // estimates (each keeps its own refresh cadence).
+      if (weights != nullptr) weights->ShareEstimatesWith(mfes_sampler->weights());
+      sampler = std::move(mfes_sampler);
       break;
     }
     case SamplerFamily::kRea: {

@@ -40,6 +40,11 @@ class MfesSampler : public Sampler {
   /// Ensemble weights used by the last model-based proposal (diagnostics).
   const std::vector<double>& last_theta() const { return last_theta_; }
 
+  /// The sampler's own theta estimator (its refresh cadence is private to
+  /// the sampler); another consumer may share its estimates through
+  /// FidelityWeights::ShareEstimatesWith.
+  const FidelityWeights& weights() const { return weights_; }
+
  private:
   std::unique_ptr<Surrogate> MakeBaseSurrogate(int level) const;
 

@@ -9,7 +9,12 @@
 
 namespace hypertune {
 
-MeasurementStore::MeasurementStore(int num_levels) {
+namespace {
+std::atomic<uint64_t> next_store_id{1};
+}  // namespace
+
+MeasurementStore::MeasurementStore(int num_levels)
+    : id_(next_store_id.fetch_add(1, std::memory_order_relaxed)) {
   HT_CHECK(num_levels >= 1) << "MeasurementStore requires K >= 1";
   MutexLock lock(mu_);
   groups_.resize(static_cast<size_t>(num_levels));

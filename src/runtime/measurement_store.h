@@ -121,6 +121,11 @@ class MeasurementStore {
     return data_version_.load(std::memory_order_acquire);
   }
 
+  /// Process-unique identity of this store. A store is never copied and
+  /// its data_version() only grows, so (id(), data_version()) names one
+  /// exact set of measurements: consumers key work derived from them on it.
+  uint64_t id() const { return id_; }
+
  private:
   static constexpr size_t kPendingShards = 16;
 
@@ -165,6 +170,7 @@ class MeasurementStore {
   std::atomic<size_t> num_pending_{0};
   std::atomic<uint64_t> version_{0};
   std::atomic<uint64_t> data_version_{0};
+  const uint64_t id_;
 };
 
 }  // namespace hypertune

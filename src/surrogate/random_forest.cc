@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/common/logging.h"
@@ -10,23 +11,144 @@
 namespace hypertune {
 namespace {
 
-/// Mean and (population) variance of y over indices [begin, end).
-void MeanVar(const std::vector<double>& y, const std::vector<size_t>& indices,
-             size_t begin, size_t end, double* mean, double* var) {
+/// Mean and (population) variance of y[0, n).
+void MeanVar(const double* y, size_t n, double* mean, double* var) {
   double m = 0.0;
-  size_t n = end - begin;
-  for (size_t i = begin; i < end; ++i) m += y[indices[i]];
+  for (size_t i = 0; i < n; ++i) m += y[i];
   m /= static_cast<double>(n);
   double v = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    double d = y[indices[i]] - m;
+  for (size_t i = 0; i < n; ++i) {
+    double d = y[i] - m;
     v += d * d;
   }
   *mean = m;
   *var = v / static_cast<double>(n);
 }
 
+/// Sufficient statistics of one candidate split: sums of the targets and
+/// of their squares on each side, and the left count.
+struct SplitSums {
+  double sum_l, sum_r, sq_l, sq_r;
+  size_t n_l;
+};
+
+/// Two lanes of doubles, and the same bits as integers (GCC/Clang vector
+/// extensions: per-lane IEEE arithmetic, so each lane computes exactly what
+/// the scalar code would).
+typedef double Pair __attribute__((vector_size(16)));
+typedef int64_t PairBits __attribute__((vector_size(16)));
+
+/// Candidates accumulated per pass over a node: two pairs of lanes.
+constexpr size_t kCandidateBlock = 4;
+
+/// Accumulates every candidate threshold in passes over a node's gathered
+/// feature values and targets. Each candidate sums its sides in sample
+/// order, exactly as a separate pass per candidate would: the side a sample
+/// misses gains +0.0 (the target's bits masked off), which leaves a sum
+/// that started at +0.0 bit for bit unchanged (such a sum is never -0.0).
+/// Branch-free, so unpredictable split sides cost no mispredictions.
+template <bool kEquality>
+void ScoreCandidates(const double* values, const double* targets, size_t n,
+                     const double* thresholds, size_t num_thresholds,
+                     SplitSums* sums) {
+  for (size_t first = 0; first < num_thresholds; first += kCandidateBlock) {
+    const size_t count = std::min(kCandidateBlock, num_thresholds - first);
+    // A short block is padded with copies of its first threshold, whose
+    // sums are dropped.
+    double th[kCandidateBlock];
+    for (size_t c = 0; c < kCandidateBlock; ++c) {
+      th[c] = thresholds[first + (c < count ? c : 0)];
+    }
+    const Pair th01 = {th[0], th[1]};
+    const Pair th23 = {th[2], th[3]};
+    Pair sum_l01 = {}, sum_r01 = {}, sq_l01 = {}, sq_r01 = {};
+    Pair sum_l23 = {}, sum_r23 = {}, sq_l23 = {}, sq_r23 = {};
+    PairBits n_l01 = {}, n_l23 = {};
+    for (size_t i = 0; i < n; ++i) {
+      const Pair v = {values[i], values[i]};
+      const double t = targets[i];
+      const Pair t2 = {t, t};
+      const Pair tt2 = {t * t, t * t};
+      const PairBits t_bits = (PairBits)t2;
+      const PairBits tt_bits = (PairBits)tt2;
+      // Lanes are all ones where the sample goes left.
+      const PairBits left01 =
+          kEquality ? (PairBits)(v == th01) : (PairBits)(v <= th01);
+      const PairBits left23 =
+          kEquality ? (PairBits)(v == th23) : (PairBits)(v <= th23);
+      sum_l01 += (Pair)(t_bits & left01);
+      sum_r01 += (Pair)(t_bits & ~left01);
+      sq_l01 += (Pair)(tt_bits & left01);
+      sq_r01 += (Pair)(tt_bits & ~left01);
+      n_l01 -= left01;
+      sum_l23 += (Pair)(t_bits & left23);
+      sum_r23 += (Pair)(t_bits & ~left23);
+      sq_l23 += (Pair)(tt_bits & left23);
+      sq_r23 += (Pair)(tt_bits & ~left23);
+      n_l23 -= left23;
+    }
+    const SplitSums block[kCandidateBlock] = {
+        {sum_l01[0], sum_r01[0], sq_l01[0], sq_r01[0],
+         static_cast<size_t>(n_l01[0])},
+        {sum_l01[1], sum_r01[1], sq_l01[1], sq_r01[1],
+         static_cast<size_t>(n_l01[1])},
+        {sum_l23[0], sum_r23[0], sq_l23[0], sq_r23[0],
+         static_cast<size_t>(n_l23[0])},
+        {sum_l23[1], sum_r23[1], sq_l23[1], sq_r23[1],
+         static_cast<size_t>(n_l23[1])}};
+    for (size_t c = 0; c < count; ++c) sums[first + c] = block[c];
+  }
+}
+
 }  // namespace
+
+/// The training rows of one Fit in column-major order (so a node gathers a
+/// feature with one index hop), plus buffers every node reuses: BuildNode
+/// finishes with them before it recurses.
+struct RandomForest::FitScratch {
+  size_t rows = 0;
+  size_t dim = 0;
+  std::vector<double> columns;  // columns[f * rows + i]
+  std::vector<double> y;
+  std::vector<size_t> indices;  // sample positions of the current tree
+  std::vector<size_t> features;
+  std::vector<double> values;   // one feature over the node's samples
+  std::vector<double> targets;  // y over the node's samples
+  std::vector<double> thresholds;
+  std::vector<SplitSums> sums;
+  std::vector<Node> nodes;      // the tree being grown
+};
+
+std::vector<size_t> CapTrainingSet(const std::vector<double>& values,
+                                   size_t max_points) {
+  std::vector<size_t> keep;
+  if (values.size() <= max_points) {
+    keep.resize(values.size());
+    for (size_t i = 0; i < values.size(); ++i) keep[i] = i;
+    return keep;
+  }
+  std::vector<size_t> by_value(values.size());
+  for (size_t i = 0; i < values.size(); ++i) by_value[i] = i;
+  std::sort(by_value.begin(), by_value.end(),
+            [&](size_t a, size_t b) { return values[a] < values[b]; });
+  std::vector<bool> selected(values.size(), false);
+  size_t kept = 0;
+  for (size_t i = 0; i < max_points / 2; ++i) {
+    selected[by_value[i]] = true;
+    ++kept;
+  }
+  for (size_t i = values.size(); i > 0 && kept < max_points; --i) {
+    if (!selected[i - 1]) {
+      selected[i - 1] = true;
+      ++kept;
+    }
+  }
+  keep.reserve(kept);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (selected[i]) keep.push_back(i);
+  }
+  return keep;
+}
 
 RandomForest::RandomForest(RandomForestOptions options) : options_(options) {}
 
@@ -57,69 +179,71 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   num_observations_ = x.size();
   trees_.resize(static_cast<size_t>(std::max(1, options_.num_trees)));
 
-  // Cap oversized training sets: keep the best half and most recent half.
-  std::vector<size_t> keep;
-  keep.reserve(std::min(x.size(), options_.max_points));
-  if (x.size() > options_.max_points && options_.max_points > 0) {
-    std::vector<size_t> by_value(x.size());
-    for (size_t i = 0; i < x.size(); ++i) by_value[i] = i;
-    std::sort(by_value.begin(), by_value.end(),
-              [&](size_t a, size_t b) { return y[a] < y[b]; });
-    std::vector<bool> selected(x.size(), false);
-    size_t kept = 0;
-    for (size_t i = 0; i < options_.max_points / 2; ++i) {
-      selected[by_value[i]] = true;
-      ++kept;
-    }
-    for (size_t i = x.size(); i > 0 && kept < options_.max_points; --i) {
-      if (!selected[i - 1]) {
-        selected[i - 1] = true;
-        ++kept;
-      }
-    }
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (selected[i]) keep.push_back(i);
-    }
-  } else {
-    for (size_t i = 0; i < x.size(); ++i) keep.push_back(i);
+  // Cap oversized training sets (max_points == 0 means no cap).
+  const std::vector<size_t> keep =
+      options_.max_points > 0 ? CapTrainingSet(y, options_.max_points)
+                              : CapTrainingSet(y, y.size());
+
+  // Sample positions below index the kept rows, whose order the copy
+  // preserves, so every split sees the values it would see on x itself.
+  FitScratch scratch;
+  const size_t rows = keep.size();
+  scratch.rows = rows;
+  scratch.dim = dim;
+  scratch.columns.resize(dim * rows);
+  scratch.y.resize(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const std::vector<double>& row = x[keep[i]];
+    for (size_t f = 0; f < dim; ++f) scratch.columns[f * rows + i] = row[f];
+    scratch.y[i] = y[keep[i]];
   }
+  scratch.indices.reserve(keep.size());
+  scratch.values.resize(keep.size());
+  scratch.targets.resize(keep.size());
+  const size_t num_thresholds =
+      static_cast<size_t>(std::max(0, options_.thresholds_per_feature));
+  scratch.thresholds.resize(num_thresholds);
+  scratch.sums.resize(num_thresholds);
 
   for (size_t t = 0; t < trees_.size(); ++t) {
     Rng rng(CombineSeeds(options_.seed, CombineSeeds(t, keep.size())));
-    std::vector<size_t> indices;
-    indices.reserve(keep.size());
+    scratch.indices.clear();
     if (options_.bootstrap && keep.size() > 1) {
       for (size_t i = 0; i < keep.size(); ++i) {
-        indices.push_back(keep[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(keep.size()) - 1))]);
+        scratch.indices.push_back(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(keep.size()) - 1)));
       }
     } else {
-      indices = keep;
+      for (size_t i = 0; i < keep.size(); ++i) scratch.indices.push_back(i);
     }
-    trees_[t].nodes.reserve(2 * keep.size());
-    BuildNode(&trees_[t], x, y, &indices, 0, indices.size(), 0, &rng);
+    scratch.nodes.clear();
+    BuildNode(&scratch, 0, scratch.indices.size(), 0, &rng);
+    // An exact-size copy: a grown vector would hold up to twice the nodes.
+    trees_[t].nodes.assign(scratch.nodes.begin(), scratch.nodes.end());
   }
   fitted_ = true;
   return Status::Ok();
 }
 
-int RandomForest::BuildNode(Tree* tree,
-                            const std::vector<std::vector<double>>& x,
-                            const std::vector<double>& y,
-                            std::vector<size_t>* indices, size_t begin,
-                            size_t end, int depth, Rng* rng) const {
+int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
+                            int depth, Rng* rng) const {
   const size_t n = end - begin;
-  const size_t dim = x[0].size();
+  const size_t rows = scratch->rows;
+  const size_t dim = scratch->dim;
+  const size_t* indices = scratch->indices.data() + begin;
+  std::vector<Node>& nodes = scratch->nodes;
 
+  double* targets = scratch->targets.data();
+  for (size_t i = 0; i < n; ++i) targets[i] = scratch->y[indices[i]];
   double node_mean = 0.0, node_var = 0.0;
-  MeanVar(y, *indices, begin, end, &node_mean, &node_var);
+  MeanVar(targets, n, &node_mean, &node_var);
 
   auto make_leaf = [&]() {
     Node leaf;
     leaf.leaf_mean = node_mean;
     leaf.leaf_variance = node_var;
-    tree->nodes.push_back(leaf);
-    return static_cast<int>(tree->nodes.size() - 1);
+    nodes.push_back(leaf);
+    return static_cast<int>(nodes.size() - 1);
   };
 
   if (n < 2 * options_.min_samples_leaf || depth >= options_.max_depth ||
@@ -131,67 +255,67 @@ int RandomForest::BuildNode(Tree* tree,
   size_t num_features = std::max<size_t>(
       1, static_cast<size_t>(std::ceil(options_.feature_fraction *
                                        static_cast<double>(dim))));
-  std::vector<size_t> features = rng->SampleWithoutReplacement(dim, num_features);
+  rng->SampleWithoutReplacement(dim, num_features, &scratch->features);
+  num_features = std::min(num_features, dim);
 
   double best_score = std::numeric_limits<double>::infinity();
   int best_feature = -1;
   double best_threshold = 0.0;
   bool best_equality = false;
 
-  for (size_t f : features) {
-    bool is_cat = !categorical_.empty() && categorical_[f];
-    // Feature range over this node's samples.
+  double* values = scratch->values.data();
+  double* thresholds = scratch->thresholds.data();
+  SplitSums* sums = scratch->sums.data();
+  const size_t num_thresholds = scratch->thresholds.size();
+  for (size_t k = 0; k < num_features; ++k) {
+    const size_t f = scratch->features[k];
+    const bool is_cat = !categorical_.empty() && categorical_[f];
+    // Gather the feature over this node's samples, with its range.
+    const double* column = scratch->columns.data() + f * rows;
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (size_t i = begin; i < end; ++i) {
-      double v = x[(*indices)[i]][f];
+    for (size_t i = 0; i < n; ++i) {
+      double v = column[indices[i]];
+      values[i] = v;
       lo = std::min(lo, v);
       hi = std::max(hi, v);
     }
     if (lo >= hi) continue;  // constant feature in this node
 
-    for (int c = 0; c < options_.thresholds_per_feature; ++c) {
-      double threshold;
-      bool equality = false;
+    for (size_t c = 0; c < num_thresholds; ++c) {
       if (is_cat) {
         // Pick the value of a random sample in the node: guarantees a
         // non-empty "equal" side.
-        size_t pick = begin + static_cast<size_t>(rng->UniformInt(
-                                  0, static_cast<int64_t>(n) - 1));
-        threshold = x[(*indices)[pick]][f];
-        equality = true;
+        thresholds[c] = values[static_cast<size_t>(
+            rng->UniformInt(0, static_cast<int64_t>(n) - 1))];
       } else {
-        threshold = rng->Uniform(lo, hi);
+        thresholds[c] = rng->Uniform(lo, hi);
       }
+    }
+    if (is_cat) {
+      ScoreCandidates<true>(values, targets, n, thresholds, num_thresholds,
+                            sums);
+    } else {
+      ScoreCandidates<false>(values, targets, n, thresholds, num_thresholds,
+                             sums);
+    }
 
-      // Weighted variance after the split.
-      double sum_l = 0.0, sum_r = 0.0, sq_l = 0.0, sq_r = 0.0;
-      size_t n_l = 0, n_r = 0;
-      for (size_t i = begin; i < end; ++i) {
-        double v = x[(*indices)[i]][f];
-        double t = y[(*indices)[i]];
-        bool go_left = equality ? (v == threshold) : (v <= threshold);
-        if (go_left) {
-          sum_l += t;
-          sq_l += t * t;
-          ++n_l;
-        } else {
-          sum_r += t;
-          sq_r += t * t;
-          ++n_r;
-        }
-      }
+    // Weighted variance after each split; the first best candidate wins.
+    for (size_t c = 0; c < num_thresholds; ++c) {
+      const SplitSums& s = sums[c];
+      const size_t n_l = s.n_l;
+      const size_t n_r = n - n_l;
       if (n_l < options_.min_samples_leaf || n_r < options_.min_samples_leaf) {
         continue;
       }
-      double var_l = sq_l / n_l - (sum_l / n_l) * (sum_l / n_l);
-      double var_r = sq_r / n_r - (sum_r / n_r) * (sum_r / n_r);
+      double var_l = s.sq_l / n_l - (s.sum_l / n_l) * (s.sum_l / n_l);
+      double var_r = s.sq_r / n_r - (s.sum_r / n_r) * (s.sum_r / n_r);
       double score = (var_l * n_l + var_r * n_r) / static_cast<double>(n);
       if (score < best_score) {
         best_score = score;
         best_feature = static_cast<int>(f);
-        best_threshold = threshold;
-        best_equality = equality;
+        best_threshold = thresholds[c];
+        best_equality = is_cat;
       }
     }
   }
@@ -199,22 +323,25 @@ int RandomForest::BuildNode(Tree* tree,
   if (best_feature < 0) return make_leaf();
 
   // Partition indices in place.
+  const double* split_column =
+      scratch->columns.data() + static_cast<size_t>(best_feature) * rows;
   auto go_left = [&](size_t idx) {
-    double v = x[idx][static_cast<size_t>(best_feature)];
+    double v = split_column[idx];
     return best_equality ? (v == best_threshold) : (v <= best_threshold);
   };
-  size_t mid =
-      static_cast<size_t>(std::partition(indices->begin() + begin,
-                                         indices->begin() + end, go_left) -
-                          indices->begin());
+  auto first = scratch->indices.begin();
+  size_t mid = static_cast<size_t>(
+      std::partition(first + static_cast<std::ptrdiff_t>(begin),
+                     first + static_cast<std::ptrdiff_t>(end), go_left) -
+      first);
   if (mid == begin || mid == end) return make_leaf();  // defensive
 
   // Reserve this node's slot before recursing so children land after it.
-  tree->nodes.emplace_back();
-  int self = static_cast<int>(tree->nodes.size() - 1);
-  int left = BuildNode(tree, x, y, indices, begin, mid, depth + 1, rng);
-  int right = BuildNode(tree, x, y, indices, mid, end, depth + 1, rng);
-  Node& node = tree->nodes[self];
+  nodes.emplace_back();
+  int self = static_cast<int>(nodes.size() - 1);
+  int left = BuildNode(scratch, begin, mid, depth + 1, rng);
+  int right = BuildNode(scratch, mid, end, depth + 1, rng);
+  Node& node = nodes[static_cast<size_t>(self)];
   node.feature = best_feature;
   node.threshold = best_threshold;
   node.equality_split = best_equality;

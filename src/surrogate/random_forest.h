@@ -26,6 +26,13 @@ struct RandomForestOptions {
   uint64_t seed = 0;
 };
 
+/// Positions of `values` kept when a training set is capped at
+/// `max_points`: the best (lowest) half, then the most recent positions up
+/// to the cap (data arrives in completion order), in ascending order. All
+/// positions when values.size() <= max_points.
+std::vector<size_t> CapTrainingSet(const std::vector<double>& values,
+                                   size_t max_points);
+
 /// SMAC-style probabilistic regression forest.
 ///
 /// The default surrogate for mixed continuous/categorical hyper-parameter
@@ -56,14 +63,14 @@ class RandomForest : public Surrogate {
 
  private:
   struct Node {
-    int feature = -1;          // -1 for leaves
     double threshold = 0.0;    // numeric: x[f] <= t goes left;
                                // categorical: x[f] == t goes left
-    bool equality_split = false;
-    int left = -1;
-    int right = -1;
     double leaf_mean = 0.0;
     double leaf_variance = 0.0;
+    int feature = -1;          // -1 for leaves
+    int left = -1;
+    int right = -1;
+    bool equality_split = false;
     bool IsLeaf() const { return feature < 0; }
   };
 
@@ -71,11 +78,14 @@ class RandomForest : public Surrogate {
     std::vector<Node> nodes;
   };
 
-  /// Recursively grows `tree` over the sample indices [begin, end) of
-  /// `order`; returns the index of the created node.
-  int BuildNode(Tree* tree, const std::vector<std::vector<double>>& x,
-                const std::vector<double>& y, std::vector<size_t>* indices,
-                size_t begin, size_t end, int depth, class Rng* rng) const;
+  /// Working memory of one Fit, shared by every node of every tree.
+  struct FitScratch;
+
+  /// Recursively grows the tree in `scratch->nodes` over the sample
+  /// indices [begin, end) of `scratch->indices`; returns the index of the
+  /// created node.
+  int BuildNode(FitScratch* scratch, size_t begin, size_t end, int depth,
+                class Rng* rng) const;
 
   /// Index of the leaf of `tree` containing `x` (dim() doubles).
   const Node& FindLeaf(const Tree& tree, const double* x) const;

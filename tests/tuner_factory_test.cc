@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/optimizer/mfes_sampler.h"
 #include "src/problems/counting_ones.h"
 
 namespace hypertune {
@@ -99,6 +100,31 @@ TEST(TunerFactoryTest, HbMethodsUseLadderStore) {
   factory.max_brackets = 4;
   std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
   EXPECT_EQ(tuner->store()->num_levels(), 4);
+}
+
+TEST(TunerFactoryTest, HyperTuneThetaConsumersShareEstimates) {
+  CountingOnesOptions problem_options;
+  problem_options.num_categorical = 4;
+  problem_options.num_continuous = 4;
+  CountingOnes problem(problem_options);
+  TunerFactoryOptions factory;
+  factory.method = Method::kHyperTune;
+  factory.seed = 3;
+  std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
+  ClusterOptions cluster;
+  cluster.num_workers = 6;
+  cluster.time_budget_seconds = 1e9;
+  cluster.max_trials = 300;
+  tuner->Run(problem, cluster);
+  const auto* sampler = dynamic_cast<const MfesSampler*>(tuner->sampler());
+  ASSERT_NE(sampler, nullptr);
+  // The bracket selector's estimator is the sampler's: requests from both
+  // consumers land on one set of counters, and some of them repeat a
+  // store version the other consumer already estimated.
+  const ThetaEstimateStats& stats = sampler->weights().estimate_stats();
+  EXPECT_GT(stats.estimates, 0u);
+  EXPECT_GT(stats.shared, 0u);
+  EXPECT_GT(stats.level_fit_reuses, 0u);
 }
 
 TEST(TunerFactoryTest, TunerIsSingleUse) {
