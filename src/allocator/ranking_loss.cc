@@ -80,15 +80,6 @@ std::vector<double> PredictMeans(const Surrogate* model,
   return predictions;
 }
 
-std::vector<double> FitAndPredict(const ConfigurationSpace& space,
-                                  const std::vector<Measurement>& fit_on,
-                                  const std::vector<Measurement>& eval_at,
-                                  const SurrogateFactory& factory) {
-  if (eval_at.empty()) return {};
-  return PredictMeans(FitSurrogate(space, fit_on, factory).get(), space,
-                      eval_at);
-}
-
 std::vector<double> CrossValidationPredictions(
     const ConfigurationSpace& space, const std::vector<Measurement>& data,
     int folds, const SurrogateFactory& factory, uint64_t seed) {

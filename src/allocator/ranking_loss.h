@@ -55,14 +55,6 @@ std::vector<double> PredictMeans(const Surrogate* model,
                                  const ConfigurationSpace& space,
                                  const std::vector<Measurement>& eval_at);
 
-/// Fits a fresh surrogate on `fit_on` and returns its mean predictions at
-/// the configurations of `eval_at`. Returns an empty vector when `fit_on`
-/// is too small (< 2) or the fit fails.
-std::vector<double> FitAndPredict(const ConfigurationSpace& space,
-                                  const std::vector<Measurement>& fit_on,
-                                  const std::vector<Measurement>& eval_at,
-                                  const SurrogateFactory& factory);
-
 /// K-fold cross-validated predictions of a surrogate on its own data
 /// (§4.1: "for the base surrogate M_K trained on D_K directly, we adopt
 /// 5-fold cross-validation"). Element i is the prediction for data[i] from

@@ -63,14 +63,14 @@ class RandomForest : public Surrogate {
 
  private:
   struct Node {
+    int feature = -1;          // -1 for leaves
     double threshold = 0.0;    // numeric: x[f] <= t goes left;
                                // categorical: x[f] == t goes left
-    double leaf_mean = 0.0;
-    double leaf_variance = 0.0;
-    int feature = -1;          // -1 for leaves
+    bool equality_split = false;
     int left = -1;
     int right = -1;
-    bool equality_split = false;
+    double leaf_mean = 0.0;
+    double leaf_variance = 0.0;
     bool IsLeaf() const { return feature < 0; }
   };
 

@@ -69,7 +69,7 @@ TEST(PairDisagreementsTest, MatchesCountOnExpandedResamples) {
   }
 }
 
-TEST(FitAndPredictTest, LearnsRanking) {
+TEST(FitSurrogateTest, LearnsRanking) {
   ConfigurationSpace space;
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
   std::vector<Measurement> fit_on;
@@ -82,20 +82,21 @@ TEST(FitAndPredictTest, LearnsRanking) {
   for (double v : {0.1, 0.5, 0.9}) {
     eval_at.push_back({Configuration({v}), v});
   }
-  std::vector<double> pred = FitAndPredict(space, fit_on, eval_at,
-                                           RfFactory(2));
+  std::unique_ptr<Surrogate> model = FitSurrogate(space, fit_on, RfFactory(2));
+  ASSERT_NE(model, nullptr);
+  std::vector<double> pred = PredictMeans(model.get(), space, eval_at);
   ASSERT_EQ(pred.size(), 3u);
   EXPECT_LT(pred[0], pred[1]);
   EXPECT_LT(pred[1], pred[2]);
 }
 
-TEST(FitAndPredictTest, TooLittleDataReturnsEmpty) {
+TEST(FitSurrogateTest, TooLittleDataGivesNoModel) {
   ConfigurationSpace space;
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
   std::vector<Measurement> one = {{Configuration({0.5}), 1.0}};
   std::vector<Measurement> eval_at = {{Configuration({0.1}), 0.1}};
-  EXPECT_TRUE(FitAndPredict(space, one, eval_at, RfFactory(3)).empty());
-  EXPECT_TRUE(FitAndPredict(space, eval_at, {}, RfFactory(3)).empty());
+  EXPECT_EQ(FitSurrogate(space, one, RfFactory(3)), nullptr);
+  EXPECT_TRUE(PredictMeans(nullptr, space, eval_at).empty());
 }
 
 TEST(CrossValidationPredictionsTest, ShapeAndSanity) {
