@@ -117,7 +117,7 @@ class FidelityWeights::Estimator {
   std::vector<double> last_theta_;
   bool last_used_ranking_loss_ = false;
 
-  std::vector<LevelFit> level_fits_;  // index 0 <-> level 1
+  std::vector<LevelFit> level_fits_;  // levels 1..K-1; index 0 <-> level 1
   std::vector<double> cv_key_;
   std::vector<double> cv_predictions_;
 };
@@ -190,7 +190,7 @@ bool FidelityWeights::Estimator::RankingLossTheta(
   // Predictions of each base surrogate at the evaluation subset.
   std::vector<std::vector<double>> predictions(
       static_cast<size_t>(num_levels));
-  level_fits_.resize(static_cast<size_t>(num_levels));
+  level_fits_.resize(static_cast<size_t>(num_levels - 1));
   for (int level = 1; level < num_levels; ++level) {
     const auto& group = store.group(level);
     const std::vector<size_t> kept =

@@ -201,7 +201,9 @@ std::unique_ptr<Tuner> CreateTuner(const TuningProblem& problem,
       // Both theta consumers estimate from the same store with the same
       // options: let the bracket selector's instance reuse the sampler's
       // estimates (each keeps its own refresh cadence).
-      if (weights != nullptr) weights->ShareEstimatesWith(mfes_sampler->weights());
+      if (weights != nullptr) {
+        weights->ShareEstimatesWith(mfes_sampler->weights());
+      }
       sampler = std::move(mfes_sampler);
       break;
     }
