@@ -632,11 +632,12 @@ void BM_SimCoreEvents(benchmark::State& state) {
 BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure
-/// kernels, plus the forest fit and theta estimation that dominate a
-/// Hyper-Tune run's driver time.
+/// kernels, the forest fit and theta estimation that dominate a Hyper-Tune
+/// run's driver time, and the end-to-end simulator event core (event queue
+/// plus the trial lifecycle) at 256 workers.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights)";
+    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights|SimCoreEvents)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

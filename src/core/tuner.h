@@ -17,8 +17,8 @@
 namespace hypertune {
 
 /// A fully wired tuning method: measurement store + sampler (+ fidelity
-/// weights) + scheduler, ready to run against a TuningProblem on either
-/// execution backend. Build instances with TunerFactory (or the HyperTune
+/// weights) + scheduler, ready to run against a TuningProblem on any of the
+/// three execution backends. Build instances with TunerFactory (or the HyperTune
 /// facade); a Tuner is single-use — schedulers accumulate state, so create
 /// a fresh one per run.
 class Tuner {

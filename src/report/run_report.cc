@@ -28,6 +28,9 @@ RunSummary Summarize(const RunResult& result, int num_levels) {
       result.history.num_failures_of_kind(FailureKind::kTimeout);
   summary.worker_lost_trials =
       result.history.num_failures_of_kind(FailureKind::kWorkerLost);
+  summary.invalid_result_attempts = result.invalid_result_attempts;
+  summary.invalid_result_trials =
+      result.history.num_failures_of_kind(FailureKind::kInvalidResult);
   summary.worker_deaths = result.worker_deaths;
   summary.workers_lost_permanently = result.workers_lost_permanently;
   summary.quarantines = result.quarantines;
@@ -108,12 +111,14 @@ std::string FormatSummary(const RunSummary& summary) {
   if (summary.num_failed_trials > 0 || summary.num_retries > 0) {
     os << "\nfailed trials: " << summary.num_failed_trials << " (crash "
        << summary.crash_trials << ", timeout " << summary.timeout_trials
-       << ", worker-lost " << summary.worker_lost_trials << ")"
+       << ", worker-lost " << summary.worker_lost_trials
+       << ", invalid-result " << summary.invalid_result_trials << ")"
        << "  retries: " << summary.num_retries
        << "  wasted: " << summary.wasted_seconds << " s";
     os << "\nfailed attempts by kind: crash " << summary.crash_attempts
        << "  timeout " << summary.timeout_attempts << "  worker-lost "
-       << summary.worker_lost_attempts;
+       << summary.worker_lost_attempts << "  invalid-result "
+       << summary.invalid_result_attempts;
   }
   if (summary.worker_deaths > 0 || summary.quarantines > 0) {
     os << "\nworker deaths: " << summary.worker_deaths << " ("

@@ -8,7 +8,7 @@
 #include "src/common/status.h"
 #include "src/config/space.h"
 #include "src/obs/observability.h"
-#include "src/runtime/simulated_cluster.h"
+#include "src/runtime/run_options.h"
 
 namespace hypertune {
 
@@ -34,10 +34,12 @@ struct RunSummary {
   int64_t crash_attempts = 0;
   int64_t timeout_attempts = 0;
   int64_t worker_lost_attempts = 0;
+  int64_t invalid_result_attempts = 0;
   /// Abandoned trials whose final attempt died with each kind.
   size_t crash_trials = 0;
   size_t timeout_trials = 0;
   size_t worker_lost_trials = 0;
+  size_t invalid_result_trials = 0;
   /// Worker fault-domain accounting (see RunResult).
   int64_t worker_deaths = 0;
   int64_t workers_lost_permanently = 0;

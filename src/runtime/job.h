@@ -34,10 +34,11 @@ enum class FailureKind {
   kCrash,       ///< the worker process crashed mid-evaluation
   kTimeout,     ///< the per-job watchdog killed a too-long evaluation
   kWorkerLost,  ///< the whole worker died, orphaning the in-flight attempt
+  kInvalidResult,  ///< the evaluation returned a non-finite objective
 };
 
 /// Short human-readable name of a FailureKind ("crash" / "timeout" /
-/// "worker-lost").
+/// "worker-lost" / "invalid-result").
 inline const char* FailureKindName(FailureKind kind) {
   switch (kind) {
     case FailureKind::kCrash:
@@ -46,6 +47,8 @@ inline const char* FailureKindName(FailureKind kind) {
       return "timeout";
     case FailureKind::kWorkerLost:
       return "worker-lost";
+    case FailureKind::kInvalidResult:
+      return "invalid-result";
   }
   return "?";
 }

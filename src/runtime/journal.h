@@ -19,7 +19,7 @@ namespace hypertune {
 
 /// Write-ahead journal for cluster runs.
 ///
-/// Both execution backends append one framed wire record (see
+/// Every execution backend appends one framed wire record (see
 /// runtime/wire_format.h) *before* applying each state transition —
 /// scheduler decisions, launches, completions, failures, requeues,
 /// abandonments, worker deaths/recoveries, quarantines, speculative

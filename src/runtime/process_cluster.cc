@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,9 +20,8 @@
 #include "src/common/rng.h"
 #include "src/common/thread_annotations.h"
 #include "src/runtime/fault_injector.h"
-#include "src/runtime/journal.h"
 #include "src/runtime/process_protocol.h"
-#include "src/runtime/scheduler_contract.h"
+#include "src/runtime/trial_lifecycle.h"
 
 namespace hypertune {
 namespace {
@@ -106,12 +104,10 @@ struct WorkerSlot {
   /// Respawn due time for a dead slot.
   double respawn_at = 0.0;
 
-  /// Consecutive job-level failures reported by a *surviving* worker
-  /// (clean FailureMessage); drives quarantine.
-  int consecutive_failures = 0;
-  bool in_quarantine = false;
+  /// End of the slot's quarantine window (while the lifecycle reports it
+  /// quarantined). Only clean FailureMessages from a *surviving* worker
+  /// count toward the quarantine streak.
   double quarantine_until = 0.0;
-  double quarantine_started = 0.0;
 };
 
 }  // namespace
@@ -124,35 +120,21 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
   HT_CHECK(!options_.problem_spec.empty())
       << "ProcessClusterOptions::problem_spec is required";
 
-  // Every scheduler call happens on this (the supervisor) thread, so the
-  // contract audit needs no synchronization.
-  SchedulerContractChecker contract_checker(scheduler);
-  if (options_.check_contract) scheduler = &contract_checker;
-
   const auto start = std::chrono::steady_clock::now();
-  auto elapsed = [&]() {
+  auto elapsed = [start]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
   };
+  // Every scheduler call happens on this (the supervisor) thread, so the
+  // lifecycle and its contract audit need no synchronization.
+  TrialLifecycle lifecycle(options_, scheduler, problem, elapsed);
   Observability* const obs = options_.obs.sink;
-  if (obs != nullptr) {
-    obs->trace.SetClock(elapsed);
-    scheduler->SetObservability(obs);
-  }
-  RunJournal* const journal = options_.journal;
-  if (journal != nullptr) journal->SetObservability(options_.obs);
-  const double full_resource = problem.max_resource();
 
   Inbox inbox;
   std::vector<WorkerSlot> slots(static_cast<size_t>(options_.num_workers));
-  RunResult result;
   std::deque<std::pair<double, Job>> retry_queue;  // (ready_at, job)
-  std::unordered_map<int64_t, int> job_failures;   // job-level failures
-  int in_flight = 0;
-  int64_t completed = 0;
   int64_t dispatched = 0;
-  bool stop = false;
 
   // Worker argv is identical across slots except the worker id; the
   // stable pieces are formatted once.
@@ -228,93 +210,15 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       obs->metrics.Increment("process.spawns");
       if (inc > 1) obs->metrics.Increment("process.respawns");
     }
+    // A respawn ends the slot's down window that its death opened.
+    if (inc > 1) lifecycle.WorkerRecovered(worker, slot.last_heartbeat);
   };
 
-  // Settles the accounting for a failed attempt (orphan, crash, timeout):
-  // journal + trace, then the scheduler's requeue-or-abandon verdict.
-  // Worker-level loss never touches the retry budget.
-  auto handle_attempt_failure = [&](const Job& job, FailureKind kind,
-                                    int worker, double burned,
-                                    double job_start, double now) {
-    result.busy_seconds += burned;
-    result.wasted_seconds += burned;
-    ++result.failed_attempts;
-    const bool job_level = kind != FailureKind::kWorkerLost;
-    if (kind == FailureKind::kCrash) ++result.crash_attempts;
-    if (kind == FailureKind::kTimeout) ++result.timeout_attempts;
-    if (kind == FailureKind::kWorkerLost) ++result.worker_lost_attempts;
-    if (journal != nullptr) {
-      journal->Failed(job.job_id, job.attempt, kind, worker, burned, now);
-    }
-    if (obs != nullptr) {
-      TraceEvent e;
-      e.kind = TraceKind::kJobFailed;
-      e.worker = worker;
-      e.job_id = job.job_id;
-      e.level = job.level;
-      e.bracket = job.bracket;
-      e.attempt = job.attempt;
-      e.name = FailureKindName(kind);
-      e.value = burned;
-      obs->trace.Record(std::move(e));
-      obs->metrics.Increment("jobs.failed_attempts");
-    }
-    int prior = 0;
-    auto fit = job_failures.find(job.job_id);
-    if (fit != job_failures.end()) prior = fit->second;
-    FailureInfo info;
-    info.kind = kind;
-    info.attempt = job.attempt;
-    info.retries_remaining = std::max(0, options_.faults.max_retries - prior);
-    info.wasted_seconds = burned;
-    info.worker = worker;
-    if (scheduler->OnJobFailed(job, info)) {
-      ++result.retries;
-      if (job_level) job_failures[job.job_id] = prior + 1;
-      Job next_attempt = job;
-      ++next_attempt.attempt;
-      const double ready_at =
-          job_level ? now + RetryDelay(options_.faults, options_.seed, job)
-                    : now;
-      if (journal != nullptr) {
-        journal->Requeue(job.job_id, next_attempt.attempt, ready_at, now);
-      }
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobRequeued;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = next_attempt.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.requeued");
-      }
-      retry_queue.emplace_back(ready_at, std::move(next_attempt));
-    } else {
-      if (journal != nullptr) {
-        journal->Abandon(job.job_id, job.attempt, now);
-      }
-      ++result.failed_trials;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobAbandoned;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = job.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.abandoned");
-      }
-      TrialRecord record;
-      record.job = job;
-      record.result.cost_seconds = burned;
-      record.start_time = job_start;
-      record.end_time = now;
-      record.worker = worker;
-      record.failure_kind = kind;
-      result.history.RecordFailure(record);
-      --in_flight;
-      job_failures.erase(job.job_id);
+  // Queues a failed attempt's retry, if the scheduler granted one.
+  auto requeue = [&](std::optional<TrialLifecycle::Retry> retry,
+                     double now) {
+    if (retry.has_value()) {
+      retry_queue.emplace_back(now + retry->delay, std::move(retry->job));
     }
   };
 
@@ -353,17 +257,8 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
         (prehello &&
          slot.prehello_deaths >= options_.max_consecutive_spawn_failures);
 
-    ++result.worker_deaths;
-    if (slot.permanently_failed) ++result.workers_lost_permanently;
-    if (journal != nullptr) {
-      journal->WorkerDeath(slot.id, slot.permanently_failed, now);
-    }
+    lifecycle.WorkerDied(slot.id, slot.permanently_failed, now);
     if (obs != nullptr) {
-      TraceEvent death;
-      death.kind = TraceKind::kWorkerDeath;
-      death.worker = slot.id;
-      obs->trace.Record(std::move(death));
-      obs->metrics.Increment("workers.deaths");
       TraceEvent e;
       e.kind = TraceKind::kProcessExit;
       e.worker = slot.id;
@@ -374,9 +269,9 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
     }
 
     if (slot.busy.has_value()) {
-      const Job job = *slot.busy;
-      handle_attempt_failure(job, kind, slot.id, now - slot.job_start,
-                             slot.job_start, now);
+      requeue(lifecycle.Fail(*slot.busy, kind, slot.id, /*speculative=*/false,
+                             slot.job_start, now, /*sibling_live=*/false),
+              now);
     }
 
     slot.alive = false;
@@ -407,11 +302,8 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
     spawn(slots[static_cast<size_t>(i)]);
   }
 
-  while (!stop) {
+  while (!lifecycle.stopped()) {
     const double now = elapsed();
-    // A failed journal append latches an error; applying further
-    // unjournaled transitions would defeat the write-ahead guarantee.
-    if (journal != nullptr && !journal->ok()) break;
     if (now >= options_.time_budget_seconds) break;
 
     bool any_usable = false;
@@ -451,22 +343,14 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
         continue;
       }
       // Quarantine bookkeeping.
-      if (slot.in_quarantine && slot.quarantine_until <= now) {
-        slot.in_quarantine = false;
-        result.worker_down_seconds += now - slot.quarantine_started;
-        if (journal != nullptr) journal->QuarantineEnd(slot.id, now);
-        if (obs != nullptr) {
-          TraceEvent e;
-          e.kind = TraceKind::kQuarantineEnd;
-          e.worker = slot.id;
-          obs->trace.Record(std::move(e));
-        }
+      if (lifecycle.quarantined(slot.id) && slot.quarantine_until <= now) {
+        lifecycle.QuarantineEnded(slot.id, now);
       }
 
       // Dispatch one job to an idle, healthy worker: expired retries
       // first, then a fresh scheduler decision.
       if (slot.busy.has_value() || !slot.hello_seen || slot.kill_pending ||
-          slot.in_quarantine) {
+          lifecycle.quarantined(slot.id)) {
         continue;
       }
       Job job;
@@ -482,14 +366,9 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
         job = std::move(ready->second);
         retry_queue.erase(ready);
         have_job = true;
-      } else {
-        std::optional<Job> next = scheduler->NextJob();
-        if (next.has_value()) {
-          job = *std::move(next);
-          if (journal != nullptr) journal->Decision(job, now);
-          ++in_flight;
-          have_job = true;
-        }
+      } else if (std::optional<Job> next = lifecycle.NextJob(now)) {
+        job = *std::move(next);
+        have_job = true;
       }
       if (!have_job) continue;
 
@@ -500,25 +379,11 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       JobMessage msg;
       msg.job = job;
       msg.inject_crash = plan.failed && plan.kind == FailureKind::kCrash;
-      if (journal != nullptr) {
-        journal->Launch(job.job_id, job.attempt, slot.id,
-                        /*speculative=*/false, 0.0, now);
-      }
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobLaunch;
-        e.worker = slot.id;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.bracket = job.bracket;
-        e.attempt = job.attempt;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.launched");
-      }
+      lifecycle.Launch(job, slot.id, /*speculative=*/false, 0.0, now);
       slot.busy = job;
       slot.job_start = now;
       // A write failure means the worker died; its EOF handles the rest.
-      (void)WriteFrame(slot.fd, EncodeJobMessage(msg));
+      WriteFrame(slot.fd, EncodeJobMessage(msg)).IgnoreError();
 
       ++dispatched;
       if (options_.chaos_kill_every > 0 &&
@@ -533,13 +398,7 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
 
     if (!any_usable) break;  // every slot failed permanently
 
-    const bool busy_somewhere = std::any_of(
-        slots.begin(), slots.end(),
-        [](const WorkerSlot& s) { return s.busy.has_value(); });
-    if (!busy_somewhere && retry_queue.empty() && in_flight == 0 &&
-        scheduler->Exhausted()) {
-      break;
-    }
+    if (lifecycle.Drained()) break;
 
     for (InboxMessage& msg : inbox.Drain(kPollSeconds)) {
       WorkerSlot& slot = slots[static_cast<size_t>(msg.worker)];
@@ -569,47 +428,15 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
               slot.busy->attempt != res.job.attempt) {
             break;  // stale result from before a kill decision
           }
-          const Job job = *slot.busy;
-          const double burned = msg_now - slot.job_start;
-          result.busy_seconds += burned;
-          EvalResult eval = res.result;
-          eval.cost_seconds = burned;
-          if (journal != nullptr) {
-            journal->Complete(job, eval, slot.id, slot.job_start, msg_now);
-          }
-          TrialRecord record;
-          record.job = job;
-          record.result = eval;
-          record.start_time = slot.job_start;
-          record.end_time = msg_now;
-          record.worker = slot.id;
-          result.history.Record(record, job.resource >= full_resource);
-          if (options_.observer) options_.observer(record);
-          if (obs != nullptr) {
-            TraceEvent e;
-            e.kind = TraceKind::kJobComplete;
-            e.worker = slot.id;
-            e.job_id = job.job_id;
-            e.level = job.level;
-            e.bracket = job.bracket;
-            e.attempt = job.attempt;
-            e.value = eval.objective;
-            obs->trace.Record(std::move(e));
-            obs->metrics.Increment("jobs.completed");
-            obs->metrics.Observe("trial.duration_seconds", burned);
-          }
-          scheduler->OnJobComplete(job, eval);
-          job_failures.erase(job.job_id);
+          EvalOutcome outcome;
+          outcome.objective = res.result.objective;
+          outcome.test_objective = res.result.test_objective;
+          const Job job = *std::move(slot.busy);
           slot.busy.reset();
-          slot.consecutive_failures = 0;
-          --in_flight;
-          ++completed;
-          if (journal != nullptr) {
-            journal->MaybeCheckpoint(*scheduler, completed, msg_now);
-          }
-          if (options_.max_trials > 0 && completed >= options_.max_trials) {
-            stop = true;
-          }
+          requeue(lifecycle.Complete(job, outcome, slot.id,
+                                     /*speculative=*/false, slot.job_start,
+                                     msg_now, /*sibling_cancelled=*/false),
+                  msg_now);
           break;
         }
         case ProcessMessage::kFailure: {
@@ -622,32 +449,15 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
               slot.busy->attempt != fail.attempt) {
             break;
           }
-          const Job job = *slot.busy;
+          const Job job = *std::move(slot.busy);
           slot.busy.reset();
-          handle_attempt_failure(job, FailureKind::kCrash, slot.id,
-                                 msg_now - slot.job_start, slot.job_start,
-                                 msg_now);
-          ++slot.consecutive_failures;
-          const WorkerFaultOptions& wf = options_.worker_faults;
-          if (wf.quarantine_failures > 0 && wf.quarantine_seconds > 0.0 &&
-              slot.consecutive_failures >= wf.quarantine_failures) {
-            slot.consecutive_failures = 0;
-            slot.in_quarantine = true;
-            slot.quarantine_started = msg_now;
-            slot.quarantine_until = msg_now + wf.quarantine_seconds;
-            ++result.quarantines;
-            if (journal != nullptr) {
-              journal->QuarantineBegin(slot.id, slot.quarantine_until,
-                                       msg_now);
-            }
-            if (obs != nullptr) {
-              TraceEvent e;
-              e.kind = TraceKind::kQuarantineBegin;
-              e.worker = slot.id;
-              e.value = wf.quarantine_seconds;
-              obs->trace.Record(std::move(e));
-              obs->metrics.Increment("workers.quarantines");
-            }
+          requeue(lifecycle.Fail(job, FailureKind::kCrash, slot.id,
+                                 /*speculative=*/false, slot.job_start,
+                                 msg_now, /*sibling_live=*/false),
+                  msg_now);
+          if (lifecycle.QuarantineAfterFailure(slot.id, msg_now)) {
+            slot.quarantine_until =
+                msg_now + options_.worker_faults.quarantine_seconds;
           }
           break;
         }
@@ -655,27 +465,21 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
         case ProcessMessage::kShutdown:
           break;  // driver-to-worker messages; ignore if echoed
       }
-      if (stop) break;
+      if (lifecycle.stopped()) break;
     }
   }
 
-  // Drain: truncation traces for in-flight attempts, a shutdown frame to
-  // every live worker, a grace window, SIGKILL for stragglers (SIGKILL
-  // also terminates SIGSTOPped processes), then reap and join everything.
+  // Drain: truncation for in-flight attempts, a shutdown frame to every
+  // live worker, a grace window, SIGKILL for stragglers (SIGKILL also
+  // terminates SIGSTOPped processes), then reap and join everything.
   for (WorkerSlot& slot : slots) {
     if (slot.alive && slot.busy.has_value()) {
-      result.busy_seconds += elapsed() - slot.job_start;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobTruncated;
-        e.worker = slot.id;
-        e.job_id = slot.busy->job_id;
-        e.level = slot.busy->level;
-        e.attempt = slot.busy->attempt;
-        obs->trace.Record(std::move(e));
-      }
+      lifecycle.Truncate(*slot.busy, slot.id, /*speculative=*/false,
+                         elapsed() - slot.job_start);
     }
-    if (slot.alive) (void)WriteFrame(slot.fd, EncodeShutdown());
+    // A worker that cannot take the frame is dead or dying; the grace
+    // window below reaps it either way.
+    if (slot.alive) WriteFrame(slot.fd, EncodeShutdown()).IgnoreError();
   }
   const double drain_start = elapsed();
   for (WorkerSlot& slot : slots) {
@@ -701,17 +505,7 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
     }
   }
 
-  result.elapsed_seconds = elapsed();
-  result.Finalize(options_.num_workers);
-  if (journal != nullptr && journal->ok()) journal->RunEnd(result);
-  if (obs != nullptr) {
-    obs->metrics.SetGauge("run.elapsed_seconds", result.elapsed_seconds);
-    obs->metrics.SetGauge("run.busy_seconds", result.busy_seconds);
-    obs->metrics.SetGauge("run.utilization", result.utilization);
-    // Freeze the clock: the installed lambda reads this frame's locals.
-    obs->trace.SetClock([t = result.elapsed_seconds] { return t; });
-  }
-  return result;
+  return lifecycle.Finish(elapsed());
 }
 
 }  // namespace hypertune

@@ -5,19 +5,27 @@
 #include <string>
 
 #include "src/problems/problem.h"
+#include "src/runtime/run_options.h"
 #include "src/runtime/scheduler_interface.h"
-#include "src/runtime/simulated_cluster.h"
 
 namespace hypertune {
 
-/// Options for the multi-process backend.
-struct ProcessClusterOptions {
-  int num_workers = 2;
-  /// Wall-clock budget in seconds.
-  double time_budget_seconds = 30.0;
-  uint64_t seed = 0;
-  /// Stop after this many completed trials (<= 0: unlimited).
-  int64_t max_trials = -1;
+/// Options for the multi-process backend: the options every backend
+/// shares plus the supervisor's own. The budget is wall-clock seconds.
+///
+/// Two shared fields mean something process-specific here. In `faults`,
+/// crash_probability draws are resolved driver-side via PlanAttempt (keyed
+/// on (seed, job_id, attempt)) and delivered as JobMessage::inject_crash,
+/// so a doomed attempt genuinely kills its worker process, and
+/// timeout_seconds becomes a driver-side wall-clock watchdog: an overdue
+/// worker is SIGKILLed and the attempt reported as FailureKind::kTimeout.
+/// Of `worker_faults` only the quarantine policy applies — real process
+/// death replaces the seeded death schedule.
+struct ProcessClusterOptions : RunOptions {
+  ProcessClusterOptions() {
+    num_workers = 2;
+    time_budget_seconds = 30.0;
+  }
 
   /// Path to the hypertune_worker binary the driver fork+execs. Required.
   std::string worker_binary;
@@ -29,19 +37,6 @@ struct ProcessClusterOptions {
   /// Worker-side per-evaluation sleep scale (mirrors
   /// ThreadClusterOptions::cost_sleep_scale).
   double cost_sleep_scale = 0.0;
-
-  /// Crash injection and the retry policy. crash_probability draws are
-  /// resolved driver-side via PlanAttempt (keyed on (seed, job_id,
-  /// attempt)) and delivered as JobMessage::inject_crash, so a doomed
-  /// attempt genuinely kills its worker process. timeout_seconds becomes a
-  /// driver-side wall-clock watchdog: an overdue worker is SIGKILLed and
-  /// the attempt reported as FailureKind::kTimeout.
-  FaultOptions faults;
-  /// Quarantine policy for workers whose attempts keep failing for
-  /// job-level reasons (quarantine_failures / quarantine_seconds; the
-  /// lifetime knobs are ignored — real process death replaces the seeded
-  /// death schedule).
-  WorkerFaultOptions worker_faults;
 
   /// Seconds between worker heartbeat messages.
   double heartbeat_interval_seconds = 0.05;
@@ -69,20 +64,6 @@ struct ProcessClusterOptions {
   /// included — so only the heartbeat deadline can catch it.
   int64_t chaos_kill_every = 0;
   int64_t chaos_stop_every = 0;
-
-  /// Optional per-completion callback (driver thread).
-  TrialObserver observer;
-  /// Audit the scheduler contract on every call. All scheduler calls
-  /// happen on the driver thread, so the checker needs no extra locking.
-  bool check_contract = true;
-  /// Observability sink; trace events are stamped with run-relative wall
-  /// seconds.
-  ObservabilityOptions obs;
-  /// Optional write-ahead journal (borrowed; may be null). Serves
-  /// durability (store recovery, post-mortems) as on ThreadCluster;
-  /// wall-clock interleaving is not reproducible, so resume deterministic
-  /// runs on the simulator.
-  RunJournal* journal = nullptr;
 };
 
 /// Multi-process execution backend: the driver fork+execs one

@@ -211,7 +211,7 @@ class TrialHistory {
   std::vector<CurvePoint> curve_;
   size_t num_trials_ = 0;
   size_t num_failures_ = 0;
-  std::array<size_t, 3> failures_by_kind_ = {0, 0, 0};
+  std::array<size_t, 4> failures_by_kind_ = {0, 0, 0, 0};
   double total_cost_ = 0.0;
   std::array<ConfigShard, kConfigShards> config_index_;
 };

@@ -16,8 +16,10 @@
 #include "src/obs/observability.h"
 #include "src/optimizer/random_sampler.h"
 #include "src/problems/counting_ones.h"
+#include "src/runtime/process_cluster.h"
 #include "src/runtime/simulated_cluster.h"
 #include "src/runtime/thread_cluster.h"
+#include "src/scheduler/async_bracket_scheduler.h"
 #include "src/scheduler/sync_bracket_scheduler.h"
 
 namespace hypertune {
@@ -265,26 +267,20 @@ TEST(ChromeTraceTest, RejectsTerminalWithoutLaunch) {
   EXPECT_FALSE(WriteChromeTrace(trace, &out).ok());
 }
 
-TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
-  Observability obs;
-  RunResult result = RunChaos(&obs);
+/// The oracle every backend must pass: each launch pairs with exactly one
+/// terminal event, spans nest, and the metrics — fed from the same
+/// lifecycle transitions as the RunResult counters — agree with RunResult
+/// exactly.
+void ExpectTraceAndMetricsMatchRunResult(const Observability& obs,
+                                         const RunResult& result) {
   std::vector<TraceEvent> events = obs.trace.Snapshot();
   ASSERT_FALSE(events.empty());
-
-  // The run must actually exercise every fault mechanism for the checks
-  // below to mean anything.
-  ASSERT_GT(result.worker_deaths, 0);
-  ASSERT_GT(result.failed_attempts, 0);
-  ASSERT_GT(result.speculative_attempts, 0);
-
   ExpectLaunchTerminalPairing(events);
   ExpectSpansNest(events);
 
-  // Metrics are fed from the same code paths as the RunResult counters, so
-  // the two accountings must agree exactly.
   MetricsSnapshot metrics = obs.metrics.Snapshot();
-  EXPECT_EQ(Counter(metrics, "jobs.completed"),
-            static_cast<int64_t>(result.history.num_trials()));
+  const int64_t completed = static_cast<int64_t>(result.history.num_trials());
+  EXPECT_EQ(Counter(metrics, "jobs.completed"), completed);
   EXPECT_EQ(Counter(metrics, "jobs.failed_attempts"), result.failed_attempts);
   EXPECT_EQ(Counter(metrics, "jobs.requeued"), result.retries);
   EXPECT_EQ(Counter(metrics, "jobs.abandoned"), result.failed_trials);
@@ -298,10 +294,10 @@ TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
   EXPECT_DOUBLE_EQ(metrics.gauges.at("run.elapsed_seconds"),
                    result.elapsed_seconds);
   EXPECT_DOUBLE_EQ(metrics.gauges.at("run.utilization"), result.utilization);
-  const HistogramSnapshot& durations =
-      metrics.histograms.at("trial.duration_seconds");
-  EXPECT_EQ(durations.count,
-            static_cast<int64_t>(result.history.num_trials()));
+  auto durations = metrics.histograms.find("trial.duration_seconds");
+  EXPECT_EQ(durations != metrics.histograms.end() ? durations->second.count
+                                                  : 0,
+            completed);
 
   // Launches and terminals balance as counters, too.
   EXPECT_EQ(Counter(metrics, "jobs.launched") +
@@ -310,8 +306,43 @@ TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
                 Counter(metrics, "jobs.failed_attempts") +
                 Counter(metrics, "jobs.truncated") +
                 Counter(metrics, "speculation.losses"));
+  EXPECT_EQ(Counter(metrics, "jobs.truncated"),
+            CountKind(events, TraceKind::kJobTruncated));
+}
+
+/// A fixed-bracket asynchronous scheduler over CountingOnes, for the
+/// wall-clock backends.
+struct AsyncSetup {
+  CountingOnes problem;
+  MeasurementStore store{3};
+  RandomSampler sampler{&problem.space(), &store, 5};
+  AsyncBracketScheduler scheduler{&problem.space(), &store, &sampler, nullptr,
+                                  Options()};
+
+  static BracketSchedulerOptions Options() {
+    BracketSchedulerOptions options;
+    options.ladder.eta = 3.0;
+    options.ladder.num_levels = 3;
+    options.ladder.max_resource = 27.0;
+    options.selector.policy = BracketPolicy::kFixed;
+    options.selector.fixed_bracket = 1;
+    return options;
+  }
+};
+
+TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
+  Observability obs;
+  RunResult result = RunChaos(&obs);
+
+  // The run must actually exercise every fault mechanism for the checks
+  // below to mean anything.
+  ASSERT_GT(result.worker_deaths, 0);
+  ASSERT_GT(result.failed_attempts, 0);
+  ASSERT_GT(result.speculative_attempts, 0);
+  ExpectTraceAndMetricsMatchRunResult(obs, result);
 
   // Contract-checker events are mirrored into the trace.
+  std::vector<TraceEvent> events = obs.trace.Snapshot();
   EXPECT_GT(CountKind(events, TraceKind::kContract), 0);
 
   // Both exporters accept the trace.
@@ -323,6 +354,56 @@ TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
   EXPECT_EQ(csv.str().rfind("worker,state,start_seconds,end_seconds,job_id",
                             0),
             0u);
+}
+
+TEST(ObsTest, ThreadChaosRunMetricsMatchRunResult) {
+  AsyncSetup setup;
+  Observability obs;
+  ThreadClusterOptions options;
+  options.num_workers = 4;
+  options.time_budget_seconds = 1.5;
+  options.seed = 9;
+  options.cost_sleep_scale = 1e-3;
+  options.faults.crash_probability = 0.25;
+  options.faults.max_retries = 1;
+  options.faults.retry_backoff_seconds = 0.01;
+  options.worker_faults.mttf_seconds = 0.4;
+  options.worker_faults.mttr_seconds = 0.05;
+  options.worker_faults.quarantine_failures = 2;
+  options.worker_faults.quarantine_seconds = 0.05;
+  options.obs.sink = &obs;
+  RunResult result = ThreadCluster(options).Run(&setup.scheduler,
+                                                setup.problem);
+
+  ASSERT_GT(result.failed_attempts, 0);
+  ASSERT_GT(result.quarantines, 0);
+  ExpectTraceAndMetricsMatchRunResult(obs, result);
+}
+
+TEST(ObsTest, ProcessChaosRunMetricsMatchRunResult) {
+  AsyncSetup setup;
+  Observability obs;
+  ProcessClusterOptions options;
+  options.num_workers = 3;
+  options.time_budget_seconds = 60.0;  // the trial cap ends the run
+  options.max_trials = 15;
+  options.seed = 42;
+  options.worker_binary = HYPERTUNE_WORKER_BINARY;
+  options.problem_spec = "counting-ones";
+  options.cost_sleep_scale = 1e-3;
+  options.heartbeat_interval_seconds = 0.02;
+  options.heartbeat_timeout_seconds = 1.0;
+  options.respawn_backoff_seconds = 0.005;
+  options.respawn_backoff_cap_seconds = 0.05;
+  options.chaos_kill_every = 3;
+  options.obs.sink = &obs;
+  RunResult result = ProcessCluster(options).Run(&setup.scheduler,
+                                                 setup.problem);
+
+  ASSERT_EQ(static_cast<int64_t>(result.history.num_trials()),
+            options.max_trials);
+  ASSERT_GT(result.worker_deaths, 0);
+  ExpectTraceAndMetricsMatchRunResult(obs, result);
 }
 
 TEST(ObsTest, InstrumentationIsBitIdenticalToObsOff) {

@@ -21,7 +21,8 @@ Enforces project invariants that plain compiler warnings cannot express:
                    function. This backstops [[nodiscard]] +
                    -Werror=unused-result for compilers or contexts that
                    drop the attribute; the only sanctioned discard is an
-                   explicit .IgnoreError().
+                   explicit .IgnoreError(). A (void) or static_cast<void>
+                   cast is flagged too: the compiler accepts it silently.
 
   encode-decode    Every WireEncoder::Encode<X> has a matching
                    WireDecoder::Decode<X> and vice versa, so the wire format
@@ -380,12 +381,14 @@ def _statements(text):
         yield tail
 
 
-# The *top-level* call of an expression statement: an optional paren-free
-# receiver chain, then the callee. A leading macro like
+# The *top-level* call of an expression statement: an optional void cast
+# (which -Werror=unused-result does not see through), an optional
+# paren-free receiver chain, then the callee. A leading macro like
 # HT_RETURN_IF_ERROR(...) captures as the callee itself, so calls consumed
 # by such macros never match a Status-returning name.
 _CALL_STMT_RE = re.compile(
-    r"^(?:[\w\[\]]+(?:\.|->|::))*(\w+)\s*\(")
+    r"^(?:\(\s*void\s*\)\s*|static_cast\s*<\s*void\s*>\s*\(\s*)?"
+    r"(?:[\w\[\]]+(?:\.|->|::))*(\w+)\s*\(")
 
 _CONTROL_KEYWORDS = re.compile(
     r"\b(return|if|while|for|switch|co_return|case|throw)\b|=")
@@ -569,9 +572,15 @@ def run_libclang_engine(root, compile_commands_dir, findings):
                     (rel, "%s::%s" % (cursor.spelling, field.spelling)))
         if cursor.kind == CursorKind.COMPOUND_STMT:
             for stmt in cursor.get_children():
+                # Look through implicit wrappers and an explicit void cast:
+                # `(void)Fallible();` discards the Status just the same.
                 call = stmt
-                while call.kind == CursorKind.UNEXPOSED_EXPR:
-                    children = list(call.get_children())
+                while call.kind == CursorKind.UNEXPOSED_EXPR or (
+                        call.kind in (CursorKind.CSTYLE_CAST_EXPR,
+                                      CursorKind.CXX_STATIC_CAST_EXPR) and
+                        call.type.spelling == "void"):
+                    children = [c for c in call.get_children()
+                                if c.kind != CursorKind.TYPE_REF]
                     if len(children) != 1:
                         break
                     call = children[0]
@@ -711,6 +720,7 @@ struct NoRank {
 #pragma once
 struct Status { void IgnoreError() const {} };
 Status MightFail(int x);
+Status MightFailCast(int x);
 """,
     "src/bad_discard.cc": """
 #include "src/bad_discard.h"
@@ -719,6 +729,7 @@ void Caller() {
   MightFail(2).IgnoreError();
   Status kept = MightFail(3);
   (void)kept;
+  (void)MightFailCast(4);
 }
 """,
     "src/runtime/wire_format.h": """
@@ -761,6 +772,7 @@ _EXPECTED_SELF_TEST = {
     "raw-sync:src/bad_raw_sync.h:std::mutex",
     "guarded-member:src/bad_guarded.h:BadGuarded::unguarded_counter",
     "discarded-status:src/bad_discard.cc:MightFail",
+    "discarded-status:src/bad_discard.cc:MightFailCast",
     "encode-decode:src/runtime/wire_format.h:EncodeOrphan",
     "encode-decode:src/runtime/wire_format.h:DecodeWidow",
     "unranked-mutex:src/bad_unranked.h:no_rank_mu_",
