@@ -8,8 +8,9 @@
 // Output: besides the usual console table, every run writes BENCH_micro.json
 // (schema_version 1; see tools/lint.py --validate-bench). Flags handled here
 // before google-benchmark sees the rest:
-//   --quick            run only the cheap data-structure kernels plus the
-//                      forest fit and theta estimation (CI smoke)
+//   --quick            run only the cheap data-structure kernels, the forest
+//                      fit, theta estimation, the simulator event core and
+//                      fresh-generator draws (CI smoke)
 //   --bench_json=PATH  where to write the JSON report (default
 //                      BENCH_micro.json in the working directory)
 
@@ -31,6 +32,7 @@
 #include "src/optimizer/bo_sampler.h"
 #include "src/optimizer/mfes_sampler.h"
 #include "src/problems/counting_ones.h"
+#include "src/problems/learning_curve.h"
 #include "src/problems/nas_bench.h"
 #include "src/runtime/journal.h"
 #include "src/runtime/measurement_store.h"
@@ -352,6 +354,28 @@ void BM_NasEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_NasEvaluate);
 
+/// A fresh generator taking a few draws, the way evaluation noise, fault
+/// plans and retry delays use one: engine set-up dominates.
+void BM_RngFreshDraws(benchmark::State& state) {
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    Rng rng(++seed);
+    benchmark::DoNotOptimize(rng.Uniform());
+    benchmark::DoNotOptimize(rng.Gaussian());
+    benchmark::DoNotOptimize(rng.Bits64());
+  }
+}
+BENCHMARK(BM_RngFreshDraws);
+
+/// One keyed noise draw, as the learning-curve problems take per evaluation.
+void BM_SeededGaussian(benchmark::State& state) {
+  uint64_t key = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SeededGaussian(++key, 53, 0));
+  }
+}
+BENCHMARK(BM_SeededGaussian);
+
 void BM_SimulatorThroughput(benchmark::State& state) {
   // Full end-to-end virtual-time run: measures scheduler + store + sampler
   // overhead per completed trial for asynchronous random search.
@@ -633,11 +657,13 @@ BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure
 /// kernels, the forest fit and theta estimation that dominate a Hyper-Tune
-/// run's driver time, and the end-to-end simulator event core (event queue
-/// plus the trial lifecycle) at 256 workers.
+/// run's driver time, the end-to-end simulator event core (event queue
+/// plus the trial lifecycle) at 256 workers, and the fresh-generator cost
+/// that every evaluation and fault plan pays.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights|SimCoreEvents)";
+    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights|SimCoreEvents|"
+    "RngFreshDraws|SeededGaussian)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

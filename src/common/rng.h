@@ -1,7 +1,11 @@
 #ifndef HYPERTUNE_COMMON_RNG_H_
 #define HYPERTUNE_COMMON_RNG_H_
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,11 +23,76 @@ uint64_t MixSeed(uint64_t x);
 /// Combines two seed components into one (order-sensitive).
 uint64_t CombineSeeds(uint64_t a, uint64_t b);
 
-/// A seeded pseudo-random number generator wrapping std::mt19937_64 with
-/// convenience draws used throughout the library.
+/// The 64-bit Mersenne Twister, drawing exactly the sequence of
+/// std::mt19937_64 but seeding and twisting its first 312-word block lazily,
+/// a chunk at a time as draws reach it. The standard engine seeds all 312
+/// words and twists them all before its first output, about 2.5 us; most
+/// generators here draw only a few numbers.
 ///
-/// Rng is cheap to construct; components that need reproducible independent
-/// streams construct their own Rng from mixed seeds rather than sharing one.
+/// Seeding is a sequential recurrence, and twisting word k reads old words
+/// k+1 and k+156 (k < 156) or words already twisted in this block
+/// (k >= 156), so seeding and twisting in order, on demand, writes the same
+/// words as doing each in full. Once the first block is used up, every
+/// later block is twisted in one pass, as the standard engine does.
+///
+/// operator<< and operator>> read and write the text libstdc++ uses for
+/// std::mt19937_64 (the 312 state words, then the position), so either
+/// engine restores the other's state.
+class MersenneTwister64 {
+ public:
+  using result_type = uint64_t;
+
+  static constexpr size_t kStateSize = 312;
+
+  explicit MersenneTwister64(result_type seed) { x_[0] = seed; }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (p_ >= ready_) Refill();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  friend std::ostream& operator<<(std::ostream& out,
+                                  const MersenneTwister64& engine);
+  /// Sets failbit, leaving `engine` unchanged, on malformed input or a
+  /// position outside [0, kStateSize].
+  friend std::istream& operator>>(std::istream& in,
+                                  MersenneTwister64& engine);
+
+ private:
+  /// Makes word p_ ready: twists the next chunk of the first block, or the
+  /// whole next block once the first one is used up.
+  void Refill();
+  /// Computes the seeding recurrence up to (excluding) word `end`.
+  void SeedTo(size_t end);
+  /// Twists words [begin, end) of the current block in place.
+  void Twist(size_t begin, size_t end);
+
+  /// Words [0, seeded_) hold seeded or twisted values; the rest stay zero
+  /// until the first block's seeding reaches them.
+  std::array<result_type, kStateSize> x_{};
+  /// Next word to output.
+  size_t p_ = 0;
+  /// Words [0, ready_) of the current block are twisted. Below kStateSize
+  /// only within the first block; ready_ == 0 means nothing was drawn yet.
+  size_t ready_ = 0;
+  size_t seeded_ = 1;
+};
+
+/// A seeded pseudo-random number generator wrapping MersenneTwister64 (the
+/// std::mt19937_64 sequence) with convenience draws used throughout the
+/// library.
+///
+/// Constructing an Rng and taking a few draws costs a few hundred
+/// nanoseconds, because the engine seeds and twists its state lazily;
+/// components that need reproducible independent streams construct their
+/// own Rng from mixed seeds rather than sharing one.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(MixSeed(seed)) {}
@@ -76,8 +145,8 @@ class Rng {
     }
   }
 
-  /// Access to the underlying engine for std distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// One raw 64-bit engine output, uniform over all 2^64 values.
+  uint64_t Bits64() { return engine_(); }
 
   /// Serializes the complete generator state (engine plus the cached state
   /// of the unit/normal distributions) as a portable text token stream.
@@ -90,7 +159,7 @@ class Rng {
   [[nodiscard]] Status DeserializeState(const std::string& state);
 
  private:
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::normal_distribution<double> normal_{0.0, 1.0};
 };

@@ -1,14 +1,31 @@
 #include "src/optimizer/mfes_sampler.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/logging.h"
-#include "src/optimizer/median_imputation.h"
 #include "src/optimizer/random_sampler.h"
 #include "src/surrogate/gaussian_process.h"
 #include "src/surrogate/random_forest.h"
 
 namespace hypertune {
+namespace {
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(const SurrogateData& a, const SurrogateData& b) {
+  if (a.x.size() != b.x.size() || !SameBits(a.y, b.y)) return false;
+  for (size_t i = 0; i < a.x.size(); ++i) {
+    if (!SameBits(a.x[i], b.x[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 MfesSampler::MfesSampler(const ConfigurationSpace* space,
                          const MeasurementStore* store,
@@ -74,6 +91,10 @@ bool MfesSampler::EnsureEnsemble() {
         (is_high && options_.bo.impute_pending)
             ? BuildSurrogateDataWithPendingMedian(*space_, *store_, level)
             : BuildSurrogateData(*space_, *store_, level);
+    if (is_high && base_[static_cast<size_t>(level - 1)] != nullptr &&
+        SameBits(data, fitted_high_data_)) {
+      continue;
+    }
     auto model = MakeBaseSurrogate(level);
     const std::string span = "fit surrogate L" + std::to_string(level);
     const double fit_start =
@@ -91,6 +112,7 @@ bool MfesSampler::EnsureEnsemble() {
     if (fit_ok) {
       base_[static_cast<size_t>(level - 1)] = std::move(model);
       fitted_sizes_[static_cast<size_t>(level - 1)] = group.size();
+      if (is_high) fitted_high_data_ = std::move(data);
     }
   }
 
@@ -123,7 +145,7 @@ Configuration MfesSampler::Sample(int target_level) {
   bool explore = rng_.Bernoulli(options_.bo.random_fraction);
   if (explore || !enough_data || !EnsureEnsemble()) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.bo.seed, rng_.engine()()));
+                         CombineSeeds(options_.bo.seed, rng_.Bits64()));
     return random.Sample(target_level);
   }
 

@@ -6,6 +6,7 @@
 
 #include "src/allocator/fidelity_weights.h"
 #include "src/optimizer/bo_sampler.h"
+#include "src/optimizer/median_imputation.h"
 #include "src/optimizer/sampler.h"
 #include "src/surrogate/mfes_ensemble.h"
 
@@ -68,6 +69,10 @@ class MfesSampler : public Sampler {
   uint64_t fitted_data_version_ = ~uint64_t{0};
   /// Group size each base member was last fitted on (refresh throttling).
   std::vector<size_t> fitted_sizes_;
+  /// Training data of the last successful M_K fit. A fit is a pure function
+  /// of its data and the level's seed, so bitwise-equal data (common while
+  /// only the pending set churns) keeps the fitted member.
+  SurrogateData fitted_high_data_;
   double fit_best_ = 0.0;
   int best_level_ = 0;
   Observability* obs_ = nullptr;  // null = observability off

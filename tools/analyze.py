@@ -393,6 +393,35 @@ _CALL_STMT_RE = re.compile(
 _CONTROL_KEYWORDS = re.compile(
     r"\b(return|if|while|for|switch|co_return|case|throw)\b|=")
 
+_BARE_HEADER_RE = re.compile(r"(?:else|do)\b\s*")
+_PAREN_HEADER_RE = re.compile(
+    r"(?:if(?:\s+constexpr)?|while|for|switch)\s*\(")
+
+
+def _strip_control_headers(stmt):
+    """Drops leading `else`/`do` and `if`/`while`/`for`/`switch (...)`
+    headers, so the body of an unbraced control statement is checked as the
+    statement it is."""
+    while True:
+        m = _BARE_HEADER_RE.match(stmt)
+        if m:
+            stmt = stmt[m.end():]
+            continue
+        m = _PAREN_HEADER_RE.match(stmt)
+        if not m:
+            return stmt
+        depth = 0
+        for i in range(m.end() - 1, len(stmt)):
+            if stmt[i] == "(":
+                depth += 1
+            elif stmt[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+        else:
+            return stmt  # unbalanced header: leave it to the keyword check
+        stmt = stmt[i + 1:].lstrip()
+
 
 def check_discarded_status_text(root, files, findings):
     names = _collect_status_names(root, files)
@@ -400,6 +429,7 @@ def check_discarded_status_text(root, files, findings):
         with open(os.path.join(root, rel), encoding="utf-8") as f:
             text = strip_preprocessor(strip_comments(f.read()))
         for stmt in _statements(text):
+            stmt = _strip_control_headers(stmt)
             m = _CALL_STMT_RE.match(stmt)
             if not m or m.group(1) not in names:
                 continue
@@ -721,6 +751,10 @@ struct NoRank {
 struct Status { void IgnoreError() const {} };
 Status MightFail(int x);
 Status MightFailCast(int x);
+Status MightFailIf(int x);
+Status MightFailElse(int x);
+Status MightFailLoop(int x);
+Status Checked(int x);
 """,
     "src/bad_discard.cc": """
 #include "src/bad_discard.h"
@@ -730,6 +764,12 @@ void Caller() {
   Status kept = MightFail(3);
   (void)kept;
   (void)MightFailCast(4);
+  if (kept.ok()) (void)MightFailIf(5);
+  if (!Checked(6).ok()) return;
+  else MightFailElse(7);
+  for (int i = 0; i < 2; ++i) MightFailLoop(i);
+  while (Checked(8).ok()) Checked(9).IgnoreError();
+  if (true) return Checked(10);
 }
 """,
     "src/runtime/wire_format.h": """
@@ -773,6 +813,9 @@ _EXPECTED_SELF_TEST = {
     "guarded-member:src/bad_guarded.h:BadGuarded::unguarded_counter",
     "discarded-status:src/bad_discard.cc:MightFail",
     "discarded-status:src/bad_discard.cc:MightFailCast",
+    "discarded-status:src/bad_discard.cc:MightFailIf",
+    "discarded-status:src/bad_discard.cc:MightFailElse",
+    "discarded-status:src/bad_discard.cc:MightFailLoop",
     "encode-decode:src/runtime/wire_format.h:EncodeOrphan",
     "encode-decode:src/runtime/wire_format.h:DecodeWidow",
     "unranked-mutex:src/bad_unranked.h:no_rank_mu_",
@@ -787,6 +830,7 @@ _FORBIDDEN_SELF_TEST_SYMBOLS = (
     "DecodeJob",
     "ranked_mu_",
     "GoodBatch",
+    "Checked",
 )
 
 
