@@ -8,6 +8,7 @@
 // (double bit patterns included). Values are stable for a given toolchain /
 // standard library; CI pins the toolchain.
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -241,7 +242,8 @@ TEST(GoldenHistoryTest, BatchBoSchedulerMatchesSeedRevision) {
 /// on a small counting-ones problem with 6 simulated workers. Also returns
 /// |D_K|, so a test can check that theta left its data-availability
 /// fallback (ranking losses need |D_K| >= 5).
-uint64_t RunMethod(Method method, size_t* top_level_size) {
+uint64_t RunMethod(Method method, size_t* top_level_size,
+                   SurrogateKind surrogate = SurrogateKind::kRandomForest) {
   CountingOnesOptions problem_options;
   problem_options.num_categorical = 4;
   problem_options.num_continuous = 4;
@@ -249,6 +251,7 @@ uint64_t RunMethod(Method method, size_t* top_level_size) {
   TunerFactoryOptions factory;
   factory.method = method;
   factory.seed = 7;
+  factory.surrogate = surrogate;
   std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
   ClusterOptions options;
   options.num_workers = 6;
@@ -276,6 +279,47 @@ TEST(GoldenHistoryTest, MfesHbMatchesPinnedDigest) {
   size_t top = 0;
   EXPECT_EQ(RunMethod(Method::kMfesHb, &top), 10370515307619391677ULL);
   EXPECT_GE(top, 5u);
+}
+
+// Every other method, and the GP surrogate under the paper's method and
+// A-BO, pinned the same way: a refactor of the surrogate layer, the samplers
+// or the schedulers must leave each of these runs bit-identical.
+TEST(GoldenHistoryTest, EveryMethodMatchesPinnedDigest) {
+  struct Pin {
+    Method method;
+    SurrogateKind surrogate;
+    uint64_t digest;
+  };
+  constexpr SurrogateKind kRf = SurrogateKind::kRandomForest;
+  constexpr SurrogateKind kGp = SurrogateKind::kGaussianProcess;
+  const Pin pins[] = {
+      {Method::kARandom, kRf, 8327139474306908107ULL},
+      {Method::kBatchBo, kRf, 11609199688146693057ULL},
+      {Method::kABo, kRf, 2347766120196066100ULL},
+      {Method::kARea, kRf, 14351943229090253730ULL},
+      {Method::kSha, kRf, 15159624083269008080ULL},
+      {Method::kAsha, kRf, 11555122071546596339ULL},
+      {Method::kDasha, kRf, 7897527979823227611ULL},
+      {Method::kHyperband, kRf, 5375367426524038319ULL},
+      {Method::kAHyperband, kRf, 11207262893804764037ULL},
+      {Method::kBohb, kRf, 9518897010141401849ULL},
+      {Method::kABohb, kRf, 479647419941378077ULL},
+      {Method::kHyperTuneNoBs, kRf, 3341994960778173447ULL},
+      {Method::kHyperTuneNoDasha, kRf, 10075702207651636109ULL},
+      {Method::kHyperTuneNoMfes, kRf, 2513634447274786132ULL},
+      {Method::kAHyperbandBs, kRf, 11207262893804764037ULL},
+      {Method::kABohbBs, kRf, 479647419941378077ULL},
+      {Method::kAHyperbandDasha, kRf, 9265750827582532711ULL},
+      {Method::kABohbDasha, kRf, 2513634447274786132ULL},
+      {Method::kHyperTune, kGp, 14398151198813893091ULL},
+      {Method::kABo, kGp, 12742948999614510274ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(MethodName(pin.method)) +
+                 (pin.surrogate == kGp ? " (GP)" : " (RF)"));
+    size_t top = 0;
+    EXPECT_EQ(RunMethod(pin.method, &top, pin.surrogate), pin.digest);
+  }
 }
 
 }  // namespace
