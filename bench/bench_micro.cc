@@ -52,24 +52,23 @@ ConfigurationSpace MakeSpace(size_t dims) {
   return space;
 }
 
-void FillData(size_t n, size_t dims, std::vector<std::vector<double>>* x,
-              std::vector<double>* y) {
+void FillData(size_t n, size_t dims, Matrix* x, std::vector<double>* y) {
   Rng rng(1);
+  x->Resize(n, dims);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<double> row(dims);
+    double* row = x->row(i);
     double target = 0.0;
     for (size_t d = 0; d < dims; ++d) {
       row[d] = rng.Uniform();
       target += (row[d] - 0.5) * (row[d] - 0.5);
     }
-    x->push_back(std::move(row));
     y->push_back(target + 0.01 * rng.Gaussian());
   }
 }
 
 void BM_GpFit(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n, 6, &x, &y);
   GaussianProcessOptions options;
@@ -82,7 +81,7 @@ void BM_GpFit(benchmark::State& state) {
 BENCHMARK(BM_GpFit)->Arg(25)->Arg(50)->Arg(100)->Iterations(5);
 
 void BM_GpPredict(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(100, 6, &x, &y);
   GaussianProcess gp;
@@ -100,7 +99,7 @@ BENCHMARK(BM_GpPredict);
 /// with BM_GpPredictPerCandidate, which re-reads the Cholesky factor per
 /// candidate — the ≥3× gap is the DESIGN.md §13 claim.
 void BM_GpPredictBatch(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(200, 6, &x, &y);
   GaussianProcessOptions options;
@@ -124,7 +123,7 @@ BENCHMARK(BM_GpPredictBatch);
 /// The per-candidate loop BM_GpPredictBatch replaces: same model, same 500
 /// queries, one Predict call each.
 void BM_GpPredictPerCandidate(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(200, 6, &x, &y);
   GaussianProcessOptions options;
@@ -150,16 +149,18 @@ BENCHMARK(BM_GpPredictPerCandidate);
 /// BM_CholRefit at the same sizes — the gap should widen ~linearly with n.
 void BM_CholUpdateAppend(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n + 1, 6, &x, &y);
   Matern52Kernel kernel(std::vector<double>(6, 0.5), 1.0);
-  std::vector<std::vector<double>> base(x.begin(), x.begin() + n);
+  Matrix base = x;
+  base.Resize(n, 6);  // the first n rows
   Matrix gram = kernel.GramMatrix(base);
   gram.AddDiagonal(1e-3);
   Cholesky factored;
   HT_CHECK(factored.Factorize(gram).ok());
-  Vector k = kernel.CrossCovariance(base, x[n]);
+  Vector k = kernel.CrossCovariance(
+      base, std::vector<double>(x.row(n), x.row(n) + 6));
   const double kss = 1.0 + 1e-3;
   // Hoisted so the copy-assign and the in-place append reuse the same warm
   // capacity every iteration — the state a BO loop's factor actually lives
@@ -179,7 +180,7 @@ BENCHMARK(BM_CholUpdateAppend)->Arg(64)->Arg(128)->Arg(256);
 /// scaling comparison against BM_CholUpdateAppend.
 void BM_CholRefit(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n + 1, 6, &x, &y);
   Matern52Kernel kernel(std::vector<double>(6, 0.5), 1.0);
@@ -199,13 +200,13 @@ void BM_AcqSweep(benchmark::State& state) {
   ConfigurationSpace space = MakeSpace(6);
   MeasurementStore store(1);
   Rng rng(22);
-  std::vector<std::vector<double>> x;
+  Matrix x(200, space.size());
   std::vector<double> y;
-  for (int i = 0; i < 200; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     Configuration c = space.Sample(&rng);
     double target = (c[0] - 0.5) * (c[0] - 0.5) + 0.01 * rng.Gaussian();
     store.Add(1, c, target);
-    x.push_back(space.Encode(c));
+    space.EncodeInto(c, x.row(i));
     y.push_back(target);
   }
   GaussianProcessOptions options;
@@ -224,7 +225,7 @@ BENCHMARK(BM_AcqSweep);
 
 void BM_RfFit(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n, 9, &x, &y);
   for (auto _ : state) {
@@ -235,7 +236,7 @@ void BM_RfFit(benchmark::State& state) {
 BENCHMARK(BM_RfFit)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_RfPredict(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(400, 9, &x, &y);
   RandomForest rf;
@@ -657,13 +658,15 @@ BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure
 /// kernels, the forest fit and theta estimation that dominate a Hyper-Tune
-/// run's driver time, the end-to-end simulator event core (event queue
-/// plus the trial lifecycle) at 256 workers, and the fresh-generator cost
-/// that every evaluation and fault plan pays.
+/// run's driver time, one small end-to-end Hyper-Tune run (200 trials, the
+/// whole surrogate path from store to acquisition), the end-to-end
+/// simulator event core (event queue plus the trial lifecycle) at 256
+/// workers, and the fresh-generator cost that every evaluation and fault
+/// plan pays.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights|SimCoreEvents|"
-    "RngFreshDraws|SeededGaussian)";
+    "TrialHistoryRecord|JournalAppend|RfFit|FidelityWeights|HyperTuneEndToEnd|"
+    "SimCoreEvents|RngFreshDraws|SeededGaussian)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

@@ -6,7 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/surrogate/random_forest.h"
+#include "src/surrogate/surrogate.h"
 
 namespace hypertune {
 namespace {
@@ -58,18 +58,8 @@ class FidelityWeights::Estimator {
   Estimator(const ConfigurationSpace* space, FidelityWeightsOptions options)
       : space_(space), options_(options) {
     HT_CHECK(space_ != nullptr) << "FidelityWeights needs a space";
-    uint64_t seed = options_.seed;
-    const ConfigurationSpace* sp = space_;
-    factory_ = [seed, sp]() -> std::unique_ptr<Surrogate> {
-      RandomForestOptions rf;
-      rf.seed = seed;
-      auto forest = std::make_unique<RandomForest>(rf);
-      std::vector<bool> categorical(sp->size(), false);
-      for (size_t i = 0; i < sp->size(); ++i) {
-        categorical[i] = sp->parameter(i).is_categorical();
-      }
-      forest->SetCategoricalFeatures(std::move(categorical));
-      return forest;
+    factory_ = [seed = options_.seed, categorical = space_->CategoricalMask()] {
+      return MakeSurrogate(SurrogateKind::kRandomForest, seed, categorical);
     };
   }
 
@@ -183,6 +173,7 @@ bool FidelityWeights::Estimator::RankingLossTheta(
                                                   options_.max_eval_points);
   }
   const std::vector<Measurement> eval_at = Select(high_group, eval_positions);
+  const Matrix eval_x = EncodeMeasurements(*space_, eval_at);
   std::vector<double> truths;
   truths.reserve(eval_at.size());
   for (const Measurement& m : eval_at) truths.push_back(m.objective);
@@ -205,7 +196,7 @@ bool FidelityWeights::Estimator::RankingLossTheta(
       fit.key = std::move(key);
     }
     predictions[static_cast<size_t>(level - 1)] =
-        PredictMeans(fit.model.get(), *space_, eval_at);
+        PredictMeans(fit.model.get(), eval_x);
   }
   std::vector<double> eval_key = ContentKey(high_group, eval_positions);
   if (SameBits(eval_key, cv_key_)) {
@@ -213,7 +204,7 @@ bool FidelityWeights::Estimator::RankingLossTheta(
   } else {
     ++stats_.cv_runs;
     cv_predictions_ = CrossValidationPredictions(
-        *space_, eval_at, options_.cv_folds, factory_, options_.seed);
+        eval_x, truths, options_.cv_folds, factory_, options_.seed);
     cv_key_ = std::move(eval_key);
   }
   predictions[static_cast<size_t>(num_levels - 1)] = cv_predictions_;

@@ -51,39 +51,44 @@ int64_t PairDisagreements::Loss(const std::vector<int32_t>& counts) const {
   return loss;
 }
 
+Matrix EncodeMeasurements(const ConfigurationSpace& space,
+                          const std::vector<Measurement>& measurements) {
+  Matrix x(measurements.size(), space.size());
+  for (size_t i = 0; i < measurements.size(); ++i) {
+    space.EncodeInto(measurements[i].config, x.row(i));
+  }
+  return x;
+}
+
 std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
                                         const std::vector<Measurement>& fit_on,
                                         const SurrogateFactory& factory) {
   if (fit_on.size() < 2) return nullptr;
-  std::vector<std::vector<double>> x;
   std::vector<double> y;
-  x.reserve(fit_on.size());
   y.reserve(fit_on.size());
-  for (const Measurement& m : fit_on) {
-    x.push_back(space.Encode(m.config));
-    y.push_back(m.objective);
-  }
+  for (const Measurement& m : fit_on) y.push_back(m.objective);
   std::unique_ptr<Surrogate> model = factory();
-  if (!model->Fit(x, y).ok()) return nullptr;
+  if (!model->Fit(EncodeMeasurements(space, fit_on), y).ok()) return nullptr;
   return model;
 }
 
-std::vector<double> PredictMeans(const Surrogate* model,
-                                 const ConfigurationSpace& space,
-                                 const std::vector<Measurement>& eval_at) {
+std::vector<double> PredictMeans(const Surrogate* model, const Matrix& eval_x) {
   if (model == nullptr) return {};
-  std::vector<double> predictions;
-  predictions.reserve(eval_at.size());
-  for (const Measurement& m : eval_at) {
-    predictions.push_back(model->Predict(space.Encode(m.config)).mean);
+  std::vector<double> means;
+  means.reserve(eval_x.rows());
+  for (const Prediction& p : model->PredictBatch(eval_x)) {
+    means.push_back(p.mean);
   }
-  return predictions;
+  return means;
 }
 
-std::vector<double> CrossValidationPredictions(
-    const ConfigurationSpace& space, const std::vector<Measurement>& data,
-    int folds, const SurrogateFactory& factory, uint64_t seed) {
-  size_t n = data.size();
+std::vector<double> CrossValidationPredictions(const Matrix& x,
+                                               const std::vector<double>& y,
+                                               int folds,
+                                               const SurrogateFactory& factory,
+                                               uint64_t seed) {
+  HT_CHECK(x.rows() == y.size()) << "cross-validation: |x| != |y|";
+  size_t n = x.rows();
   if (folds < 2 || n < static_cast<size_t>(folds)) return {};
 
   // Shuffled fold assignment for an unbiased split.
@@ -94,7 +99,7 @@ std::vector<double> CrossValidationPredictions(
 
   std::vector<double> predictions(n, 0.0);
   for (int fold = 0; fold < folds; ++fold) {
-    std::vector<std::vector<double>> train_x;
+    std::vector<size_t> train;
     std::vector<double> train_y;
     std::vector<size_t> held_out;
     for (size_t pos = 0; pos < n; ++pos) {
@@ -102,15 +107,17 @@ std::vector<double> CrossValidationPredictions(
       if (static_cast<int>(pos % static_cast<size_t>(folds)) == fold) {
         held_out.push_back(idx);
       } else {
-        train_x.push_back(space.Encode(data[idx].config));
-        train_y.push_back(data[idx].objective);
+        train.push_back(idx);
+        train_y.push_back(y[idx]);
       }
     }
-    if (train_x.size() < 2) return {};
+    if (train.size() < 2) return {};
     std::unique_ptr<Surrogate> model = factory();
-    if (!model->Fit(train_x, train_y).ok()) return {};
-    for (size_t idx : held_out) {
-      predictions[idx] = model->Predict(space.Encode(data[idx].config)).mean;
+    if (!model->Fit(x.SelectRows(train), train_y).ok()) return {};
+    std::vector<double> means =
+        PredictMeans(model.get(), x.SelectRows(held_out));
+    for (size_t i = 0; i < held_out.size(); ++i) {
+      predictions[held_out[i]] = means[i];
     }
   }
   return predictions;

@@ -43,26 +43,32 @@ class PairDisagreements {
   std::vector<int32_t> disagree_;  // row-major n x n
 };
 
+/// The configurations of `measurements` encoded through `space`, one row
+/// each, in order.
+Matrix EncodeMeasurements(const ConfigurationSpace& space,
+                          const std::vector<Measurement>& measurements);
+
 /// Fits a fresh surrogate on `fit_on`. Returns null when `fit_on` is too
 /// small (< 2) or the fit fails.
 std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
                                         const std::vector<Measurement>& fit_on,
                                         const SurrogateFactory& factory);
 
-/// Mean predictions of `model` at the configurations of `eval_at`; empty
-/// when `model` is null.
-std::vector<double> PredictMeans(const Surrogate* model,
-                                 const ConfigurationSpace& space,
-                                 const std::vector<Measurement>& eval_at);
+/// Mean predictions of `model` at the encoded rows of `eval_x` (one
+/// PredictBatch pass); empty when `model` is null.
+std::vector<double> PredictMeans(const Surrogate* model, const Matrix& eval_x);
 
 /// K-fold cross-validated predictions of a surrogate on its own data
 /// (§4.1: "for the base surrogate M_K trained on D_K directly, we adopt
-/// 5-fold cross-validation"). Element i is the prediction for data[i] from
-/// the fold that held it out. Returns an empty vector when |data| < folds
-/// or a fold fit fails.
-std::vector<double> CrossValidationPredictions(
-    const ConfigurationSpace& space, const std::vector<Measurement>& data,
-    int folds, const SurrogateFactory& factory, uint64_t seed);
+/// 5-fold cross-validation"): design matrix `x` with targets `y`. Element
+/// i is the prediction for row i from the fold that held it out. Returns
+/// an empty vector when there are fewer rows than folds or a fold fit
+/// fails.
+std::vector<double> CrossValidationPredictions(const Matrix& x,
+                                               const std::vector<double>& y,
+                                               int folds,
+                                               const SurrogateFactory& factory,
+                                               uint64_t seed);
 
 }  // namespace hypertune
 

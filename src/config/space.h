@@ -43,6 +43,14 @@ class ConfigurationSpace {
   /// Encodes a configuration into [0,1]^d for surrogate models.
   std::vector<double> Encode(const Configuration& config) const;
 
+  /// Encode, written to `row` (size() doubles): one row of a surrogate's
+  /// design matrix, filled in place.
+  void EncodeInto(const Configuration& config, double* row) const;
+
+  /// One flag per parameter, true where it is categorical (the random
+  /// forest splits those dimensions by equality).
+  std::vector<bool> CategoricalMask() const;
+
   /// Decodes a unit-cube vector back to a legal configuration (discrete
   /// values are snapped).
   Configuration Decode(const std::vector<double>& unit) const;

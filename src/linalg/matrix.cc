@@ -120,6 +120,15 @@ Matrix Matrix::Transposed() const {
   return out;
 }
 
+Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
+  Matrix out(indices.size(), cols_);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    HT_CHECK(indices[i] < rows_) << "SelectRows: row out of range";
+    std::copy(row(indices[i]), row(indices[i]) + cols_, out.row(i));
+  }
+  return out;
+}
+
 void Matrix::AddDiagonal(double value) {
   HT_CHECK(rows_ == cols_) << "AddDiagonal requires a square matrix";
   for (size_t i = 0; i < rows_; ++i) (*this)(i, i) += value;

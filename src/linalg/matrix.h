@@ -69,6 +69,9 @@ class Matrix {
   /// Returns the transpose.
   Matrix Transposed() const;
 
+  /// The rows at `indices`, in that order (indices may repeat).
+  Matrix SelectRows(const std::vector<size_t>& indices) const;
+
   /// Adds `value` to each diagonal element (in place). Requires square.
   void AddDiagonal(double value);
 
@@ -76,8 +79,8 @@ class Matrix {
   std::vector<double>& data() { return data_; }
 
   /// Pointer to the start of row `r` (contiguous, cols() doubles).
-  const double* row(size_t r) const { return &data_[r * cols_]; }
-  double* row(size_t r) { return &data_[r * cols_]; }
+  const double* row(size_t r) const { return data_.data() + r * cols_; }
+  double* row(size_t r) { return data_.data() + r * cols_; }
 
  private:
   size_t rows_;

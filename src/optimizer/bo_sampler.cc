@@ -7,8 +7,6 @@
 #include "src/common/logging.h"
 #include "src/optimizer/median_imputation.h"
 #include "src/optimizer/random_sampler.h"
-#include "src/surrogate/gaussian_process.h"
-#include "src/surrogate/random_forest.h"
 
 namespace hypertune {
 
@@ -66,12 +64,9 @@ std::optional<Configuration> MaximizeAcquisition(
 
   Observability* obs = options.obs;
   if (obs != nullptr) obs->trace.BeginSpan("acq encode");
-  Matrix encoded(eligible.size(), space.size(), 0.0);
+  Matrix encoded(eligible.size(), space.size());
   for (size_t e = 0; e < eligible.size(); ++e) {
-    std::vector<double> row = space.Encode(candidates[eligible[e]]);
-    HT_CHECK(row.size() == space.size()) << "encode width != space size";
-    double* dst = encoded.row(e);
-    for (size_t d = 0; d < row.size(); ++d) dst[d] = row[d];
+    space.EncodeInto(candidates[eligible[e]], encoded.row(e));
   }
   if (obs != nullptr) {
     obs->trace.EndSpan("acq encode");
@@ -130,24 +125,6 @@ Status BoSampler::RestoreState(WireDecoder* dec) {
   return Status::Ok();
 }
 
-std::unique_ptr<Surrogate> BoSampler::MakeSurrogate() const {
-  if (options_.surrogate == SurrogateKind::kGaussianProcess) {
-    GaussianProcessOptions gp;
-    gp.seed = options_.seed;
-    gp.kernel_cache = kernel_cache_;
-    return std::make_unique<GaussianProcess>(gp);
-  }
-  RandomForestOptions rf;
-  rf.seed = options_.seed;
-  auto forest = std::make_unique<RandomForest>(rf);
-  std::vector<bool> categorical(space_->size(), false);
-  for (size_t i = 0; i < space_->size(); ++i) {
-    categorical[i] = space_->parameter(i).is_categorical();
-  }
-  forest->SetCategoricalFeatures(std::move(categorical));
-  return forest;
-}
-
 bool BoSampler::EnsureModel() {
   int level = store_->HighestLevelWith(options_.min_points);
   if (level == 0) return false;
@@ -161,7 +138,8 @@ bool BoSampler::EnsureModel() {
       options_.impute_pending
           ? BuildSurrogateDataWithPendingMedian(*space_, *store_, level)
           : BuildSurrogateData(*space_, *store_, level);
-  auto model = MakeSurrogate();
+  auto model = MakeSurrogate(options_.surrogate, options_.seed,
+                             space_->CategoricalMask(), kernel_cache_);
   const std::string span = "fit surrogate L" + std::to_string(level);
   const double fit_start = obs_ != nullptr ? obs_->trace.Now() : 0.0;
   if (obs_ != nullptr) obs_->trace.BeginSpan(span);
@@ -172,7 +150,7 @@ bool BoSampler::EnsureModel() {
     obs_->metrics.Observe("sampler.fit_seconds",
                           obs_->trace.Now() - fit_start);
     obs_->metrics.Observe("sampler.fit_points",
-                          static_cast<double>(data.x.size()));
+                          static_cast<double>(data.x.rows()));
   }
   if (!fit_ok) return false;
 

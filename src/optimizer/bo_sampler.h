@@ -13,12 +13,6 @@
 
 namespace hypertune {
 
-/// Which probabilistic model a BO-style sampler fits.
-enum class SurrogateKind {
-  kRandomForest,     ///< robust default for mixed/categorical spaces
-  kGaussianProcess,  ///< preferable for small continuous spaces
-};
-
 /// Options shared by the model-based samplers.
 struct BoSamplerOptions {
   SurrogateKind surrogate = SurrogateKind::kRandomForest;
@@ -94,9 +88,6 @@ class BoSampler : public Sampler {
   [[nodiscard]] Status RestoreState(WireDecoder* dec) override;
 
  private:
-  /// Returns a fresh surrogate of the configured kind.
-  std::unique_ptr<Surrogate> MakeSurrogate() const;
-
   /// Refits the surrogate if the store changed; returns false when there is
   /// not enough data to model.
   bool EnsureModel();

@@ -6,11 +6,11 @@ SurrogateData BuildSurrogateData(const ConfigurationSpace& space,
                                  const MeasurementStore& store, int level) {
   SurrogateData data;
   const auto& group = store.group(level);
-  data.x.reserve(group.size());
+  data.x.Resize(group.size(), space.size());
   data.y.reserve(group.size());
-  for (const Measurement& m : group) {
-    data.x.push_back(space.Encode(m.config));
-    data.y.push_back(m.objective);
+  for (size_t i = 0; i < group.size(); ++i) {
+    space.EncodeInto(group[i].config, data.x.row(i));
+    data.y.push_back(group[i].objective);
   }
   data.num_real = group.size();
   return data;
@@ -26,8 +26,11 @@ SurrogateData BuildSurrogateDataWithPendingMedian(
   // belong to other measurement groups, and imputing them here would
   // pollute the level-specific fit (§3.2 imputes within the bracket being
   // fit).
-  for (const Configuration& pending : store.PendingConfigs(level)) {
-    data.x.push_back(space.Encode(pending));
+  const std::vector<Configuration> pending = store.PendingConfigs(level);
+  // Appending rows keeps the measured prefix: the layout is row-major.
+  data.x.Resize(data.num_real + pending.size(), space.size());
+  for (const Configuration& config : pending) {
+    space.EncodeInto(config, data.x.row(data.num_real + data.num_imputed));
     data.y.push_back(median);
     ++data.num_imputed;
   }

@@ -4,15 +4,17 @@
 #include <vector>
 
 #include "src/config/space.h"
+#include "src/linalg/matrix.h"
 #include "src/runtime/measurement_store.h"
 
 namespace hypertune {
 
-/// Training data for a surrogate: encoded design matrix plus targets.
+/// Training data for a surrogate: encoded design matrix (one row per
+/// observation) plus targets.
 struct SurrogateData {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
-  size_t num_real = 0;     ///< measurements (prefix of x/y)
+  size_t num_real = 0;     ///< measurements (prefix of x's rows and y)
   size_t num_imputed = 0;  ///< imputed pending evaluations (suffix)
 };
 

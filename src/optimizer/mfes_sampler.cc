@@ -5,8 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/optimizer/random_sampler.h"
-#include "src/surrogate/gaussian_process.h"
-#include "src/surrogate/random_forest.h"
 
 namespace hypertune {
 namespace {
@@ -18,11 +16,8 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 bool SameBits(const SurrogateData& a, const SurrogateData& b) {
-  if (a.x.size() != b.x.size() || !SameBits(a.y, b.y)) return false;
-  for (size_t i = 0; i < a.x.size(); ++i) {
-    if (!SameBits(a.x[i], b.x[i])) return false;
-  }
-  return true;
+  return a.x.rows() == b.x.rows() && a.x.cols() == b.x.cols() &&
+         SameBits(a.x.data(), b.x.data()) && SameBits(a.y, b.y);
 }
 
 }  // namespace
@@ -41,25 +36,6 @@ MfesSampler::MfesSampler(const ConfigurationSpace* space,
   if (options_.bo.min_points == 0) {
     options_.bo.min_points = std::max<size_t>(space_->size() + 1, 6);
   }
-}
-
-std::unique_ptr<Surrogate> MfesSampler::MakeBaseSurrogate(int level) const {
-  uint64_t seed = CombineSeeds(options_.bo.seed, static_cast<uint64_t>(level));
-  if (options_.bo.surrogate == SurrogateKind::kGaussianProcess) {
-    GaussianProcessOptions gp;
-    gp.seed = seed;
-    gp.kernel_cache = kernel_cache_;
-    return std::make_unique<GaussianProcess>(gp);
-  }
-  RandomForestOptions rf;
-  rf.seed = seed;
-  auto forest = std::make_unique<RandomForest>(rf);
-  std::vector<bool> categorical(space_->size(), false);
-  for (size_t i = 0; i < space_->size(); ++i) {
-    categorical[i] = space_->parameter(i).is_categorical();
-  }
-  forest->SetCategoricalFeatures(std::move(categorical));
-  return forest;
 }
 
 bool MfesSampler::EnsureEnsemble() {
@@ -95,7 +71,10 @@ bool MfesSampler::EnsureEnsemble() {
         SameBits(data, fitted_high_data_)) {
       continue;
     }
-    auto model = MakeBaseSurrogate(level);
+    auto model = MakeSurrogate(
+        options_.bo.surrogate,
+        CombineSeeds(options_.bo.seed, static_cast<uint64_t>(level)),
+        space_->CategoricalMask(), kernel_cache_);
     const std::string span = "fit surrogate L" + std::to_string(level);
     const double fit_start =
         obs_ != nullptr ? obs_->trace.Now() : 0.0;
@@ -107,7 +86,7 @@ bool MfesSampler::EnsureEnsemble() {
       obs_->metrics.Observe("sampler.fit_seconds",
                             obs_->trace.Now() - fit_start);
       obs_->metrics.Observe("sampler.fit_points",
-                            static_cast<double>(data.x.size()));
+                            static_cast<double>(data.x.rows()));
     }
     if (fit_ok) {
       base_[static_cast<size_t>(level - 1)] = std::move(model);

@@ -47,8 +47,6 @@ class MfesSampler : public Sampler {
   const FidelityWeights& weights() const { return weights_; }
 
  private:
-  std::unique_ptr<Surrogate> MakeBaseSurrogate(int level) const;
-
   /// Refits base surrogates and the ensemble when the store changed.
   /// Returns false when no level has enough data to model.
   bool EnsureEnsemble();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -35,53 +34,21 @@ KernelPhiParams ClampedKernelParams(const std::vector<double>& phi,
 GaussianProcess::GaussianProcess(GaussianProcessOptions options)
     : options_(std::move(options)) {}
 
-Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
-                            const std::vector<double>& y) {
-  if (x.size() != y.size()) {
+Status GaussianProcess::Fit(const Matrix& x, const std::vector<double>& y) {
+  if (x.rows() != y.size()) {
     return Status::InvalidArgument("GP: |x| != |y|");
   }
-  if (x.empty()) {
+  if (x.rows() == 0) {
     return Status::InvalidArgument("GP: empty training set");
   }
-  const size_t dim = x[0].size();
-  for (const auto& row : x) {
-    if (row.size() != dim) {
-      return Status::InvalidArgument("GP: ragged design matrix");
-    }
-  }
+  const size_t dim = x.cols();
   fitted_ = false;
 
-  // Subsample if over the cap: keep the best half and the most recent half.
-  std::vector<size_t> keep(x.size());
-  std::iota(keep.begin(), keep.end(), 0);
-  if (x.size() > options_.max_points) {
-    std::vector<size_t> by_value = keep;
-    std::sort(by_value.begin(), by_value.end(),
-              [&](size_t a, size_t b) { return y[a] < y[b]; });
-    size_t half = options_.max_points / 2;
-    std::vector<bool> selected(x.size(), false);
-    for (size_t i = 0; i < half; ++i) selected[by_value[i]] = true;
-    // Most recent observations fill the remainder.
-    for (size_t i = x.size(); i > 0 && half < options_.max_points; --i) {
-      if (!selected[i - 1]) {
-        selected[i - 1] = true;
-        ++half;
-      }
-    }
-    keep.clear();
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (selected[i]) keep.push_back(i);
-    }
-  }
-
-  x_.clear();
+  const std::vector<size_t> keep = CapTrainingSet(y, options_.max_points);
+  x_ = x.SelectRows(keep);
   y_raw_.clear();
-  x_.reserve(keep.size());
   y_raw_.reserve(keep.size());
-  for (size_t i : keep) {
-    x_.push_back(x[i]);
-    y_raw_.push_back(y[i]);
-  }
+  for (size_t i : keep) y_raw_.push_back(y[i]);
 
   y_mean_ = Mean(y_raw_);
   double sd = StdDev(y_raw_);
@@ -99,7 +66,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   // Seed by the *total* observation count, not the kept count: once the
   // max_points cap binds the kept count is constant, and seeding by it
   // would replay the same restart points on every refit.
-  last_restart_seed_ = CombineSeeds(options_.seed, x.size());
+  last_restart_seed_ = CombineSeeds(options_.seed, x.rows());
 
   // Pairwise differences are hyper-parameter-independent, so one block set
   // serves every likelihood evaluation of the search below (and, via the
@@ -109,7 +76,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
     blocks = options_.kernel_cache->Get(x_);
   }
 
-  if (options_.optimize_hyperparameters && x_.size() >= 3) {
+  if (options_.optimize_hyperparameters && x_.rows() >= 3) {
     // phi = [log l_1..d, log s2, log n2]
     std::vector<double> best_phi(dim + 2);
     for (size_t i = 0; i < dim; ++i) best_phi[i] = std::log(0.5);
@@ -170,7 +137,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
 
 double GaussianProcess::Lml(const std::vector<double>& phi,
                             const KernelDiffBlocks* blocks) const {
-  const size_t dim = x_[0].size();
+  const size_t dim = x_.cols();
   KernelPhiParams params = ClampedKernelParams(phi, dim);
   Matern52Kernel kernel(std::move(params.lengthscales),
                         params.signal_variance);
@@ -192,46 +159,11 @@ bool GaussianProcess::Refactor(const KernelDiffBlocks* blocks) {
                                : kernel.GramMatrix(x_);
   k.AddDiagonal(noise_variance_);
   if (!CholeskyWithJitter(k, &chol_, &jitter_used_).ok()) return false;
-  RecomputePosterior();
-  return true;
-}
-
-void GaussianProcess::RecomputePosterior() {
-  y_mean_ = Mean(y_raw_);
-  double sd = StdDev(y_raw_);
-  y_scale_ = (sd > 1e-12) ? sd : 1.0;
-  y_std_.resize(y_raw_.size());
-  for (size_t i = 0; i < y_raw_.size(); ++i) {
-    y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
-  }
   alpha_ = chol_.Solve(y_std_);
   double n = static_cast<double>(y_std_.size());
   lml_ = -0.5 * Dot(y_std_, alpha_) - 0.5 * chol_.LogDeterminant() -
          0.5 * n * kLog2Pi;
-}
-
-Status GaussianProcess::Append(const std::vector<double>& x, double y) {
-  if (!fitted_) {
-    return Status::FailedPrecondition("GP::Append before Fit");
-  }
-  if (x.size() != x_[0].size()) {
-    return Status::InvalidArgument("GP::Append: dimension mismatch");
-  }
-  if (x_.size() >= options_.max_points) {
-    return Status::FailedPrecondition(
-        "GP::Append past the subsample cap; refit instead");
-  }
-  Matern52Kernel kernel(lengthscales_, signal_variance_);
-  Vector k = kernel.CrossCovariance(x_, x);
-  // The new diagonal entry sees the same additions a refit would apply:
-  // GramMatrix puts signal variance on the diagonal, AddDiagonal adds the
-  // noise, and the factorization adds the jitter the current factor used.
-  double kss = (signal_variance_ + noise_variance_) + jitter_used_;
-  HT_RETURN_IF_ERROR(chol_.UpdateAppend(k, kss));
-  x_.push_back(x);
-  y_raw_.push_back(y);
-  RecomputePosterior();
-  return Status::Ok();
+  return true;
 }
 
 Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
@@ -251,7 +183,7 @@ Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
 
 std::vector<Prediction> GaussianProcess::PredictBatch(const Matrix& x) const {
   HT_CHECK(fitted_) << "GP::PredictBatch before Fit";
-  HT_CHECK(x.cols() == x_[0].size()) << "GP::PredictBatch: dimension mismatch";
+  HT_CHECK(x.cols() == x_.cols()) << "GP::PredictBatch: dimension mismatch";
   const size_t m = x.rows();
   std::vector<Prediction> out(m);
   if (m == 0) return out;
@@ -271,7 +203,7 @@ std::vector<Prediction> GaussianProcess::PredictBatch(const Matrix& x) const {
   chol_.SolveLowerMultiInPlace(&kstar);  // kstar now holds v
   const Matrix& v = kstar;
   Vector vv(m, 0.0);
-  for (size_t i = 0; i < x_.size(); ++i) {
+  for (size_t i = 0; i < x_.rows(); ++i) {
     const double* vrow = v.row(i);
     for (size_t j = 0; j < m; ++j) vv[j] += vrow[j] * vrow[j];
   }

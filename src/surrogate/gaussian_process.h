@@ -20,8 +20,8 @@ struct GaussianProcessOptions {
   int num_restarts = 16;
   /// Coordinate-refinement sweeps after the random search.
   int refine_sweeps = 2;
-  /// Training points beyond this cap are subsampled (keeping the best and
-  /// most recent) to bound the O(n^3) cost.
+  /// Training points beyond this cap are subsampled (CapTrainingSet: the
+  /// best half and the most recent) to bound the O(n^3) cost.
   size_t max_points = 300;
   /// Seed for the (deterministic) hyper-parameter search.
   uint64_t seed = 0;
@@ -61,22 +61,12 @@ class GaussianProcess : public Surrogate {
  public:
   explicit GaussianProcess(GaussianProcessOptions options = {});
 
-  [[nodiscard]] Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y) override;
+  [[nodiscard]] Status Fit(const Matrix& x,
+                           const std::vector<double>& y) override;
   Prediction Predict(const std::vector<double>& x) const override;
   std::vector<Prediction> PredictBatch(const Matrix& x) const override;
   bool fitted() const override { return fitted_; }
-  size_t num_observations() const override { return x_.size(); }
-
-  /// Extends the fitted posterior with one observation in O(n^2) via the
-  /// incremental Cholesky update, keeping the current hyper-parameters.
-  /// Valid only while the model is fitted, the point matches the training
-  /// dimension, and the subsample cap has not been reached (past the cap
-  /// Fit would re-select the kept set, which an append cannot reproduce).
-  /// The result is bit-identical to refitting on the extended data with
-  /// hyper-parameter optimization disabled and the same parameters
-  /// installed. On failure the model is unchanged.
-  [[nodiscard]] Status Append(const std::vector<double>& x, double y);
+  size_t num_observations() const override { return x_.rows(); }
 
   /// Log marginal likelihood of the fitted model (for tests/diagnostics).
   double log_marginal_likelihood() const { return lml_; }
@@ -96,18 +86,14 @@ class GaussianProcess : public Surrogate {
   double Lml(const std::vector<double>& phi,
              const KernelDiffBlocks* blocks) const;
 
-  /// Rebuilds the Cholesky factor and alpha for the current
+  /// Rebuilds the Cholesky factor, alpha and the LML for the current
   /// hyper-parameters. Returns false when factorization fails.
   bool Refactor(const KernelDiffBlocks* blocks);
-
-  /// Recomputes standardization, alpha, and the LML from y_raw_ and the
-  /// current factor (shared by Fit's Refactor and Append).
-  void RecomputePosterior();
 
   GaussianProcessOptions options_;
   bool fitted_ = false;
 
-  std::vector<std::vector<double>> x_;
+  Matrix x_;                   // kept training rows
   std::vector<double> y_raw_;  // kept raw targets
   std::vector<double> y_std_;  // standardized targets
   double y_mean_ = 0.0;

@@ -147,8 +147,12 @@ double Matern52Kernel::operator()(const std::vector<double>& a,
                                   const std::vector<double>& b) const {
   HT_CHECK(a.size() == dim() && b.size() == dim())
       << "kernel input dimension mismatch";
+  return Covariance(a.data(), b.data());
+}
+
+double Matern52Kernel::Covariance(const double* a, const double* b) const {
   double r2 = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < lengthscales_.size(); ++i) {
     double d = (a[i] - b[i]) / lengthscales_[i];
     r2 += d * d;
   }
@@ -172,14 +176,14 @@ double Matern52Kernel::FromDiffs(const double* diffs) const {
          std::exp(-kSqrt5 * r);
 }
 
-Matrix Matern52Kernel::GramMatrix(
-    const std::vector<std::vector<double>>& x) const {
-  size_t n = x.size();
+Matrix Matern52Kernel::GramMatrix(const Matrix& x) const {
+  HT_CHECK(x.cols() == dim()) << "kernel input dimension mismatch";
+  size_t n = x.rows();
   Matrix k(n, n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     k(i, i) = signal_variance_;
     for (size_t j = i + 1; j < n; ++j) {
-      double v = (*this)(x[i], x[j]);
+      double v = Covariance(x.row(i), x.row(j));
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -206,24 +210,28 @@ Matrix Matern52Kernel::GramMatrix(const KernelDiffBlocks& blocks) const {
 }
 
 Vector Matern52Kernel::CrossCovariance(
-    const std::vector<std::vector<double>>& x,
-    const std::vector<double>& query) const {
-  Vector k(x.size(), 0.0);
-  for (size_t i = 0; i < x.size(); ++i) k[i] = (*this)(x[i], query);
+    const Matrix& x, const std::vector<double>& query) const {
+  HT_CHECK(x.cols() == dim() && query.size() == dim())
+      << "kernel input dimension mismatch";
+  Vector k(x.rows(), 0.0);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    k[i] = Covariance(x.row(i), query.data());
+  }
   return k;
 }
 
-Matrix Matern52Kernel::CrossCovariance(
-    const std::vector<std::vector<double>>& x, const Matrix& queries) const {
+Matrix Matern52Kernel::CrossCovariance(const Matrix& x,
+                                       const Matrix& queries) const {
   Matrix k;
   CrossCovariance(x, queries, &k);
   return k;
 }
 
-void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
-                                     const Matrix& queries, Matrix* out) const {
-  HT_CHECK(queries.cols() == dim()) << "query dimension mismatch";
-  const size_t n = x.size();
+void Matern52Kernel::CrossCovariance(const Matrix& x, const Matrix& queries,
+                                     Matrix* out) const {
+  HT_CHECK(queries.cols() == dim() && x.cols() == dim())
+      << "query dimension mismatch";
+  const size_t n = x.rows();
   const size_t m = queries.rows();
   const size_t d = lengthscales_.size();
   Matrix& k = *out;
@@ -241,7 +249,7 @@ void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
   std::vector<double> scale(m);
   std::vector<double> targ(m);
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double>& xi = x[i];
+    const double* xi = x.row(i);
     if (d == 0) {
       std::fill(r2.begin(), r2.end(), 0.0);
     } else {
@@ -260,27 +268,25 @@ void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
   }
 }
 
-KernelDiffBlocks BuildKernelDiffBlocks(
-    const std::vector<std::vector<double>>& x) {
+KernelDiffBlocks BuildKernelDiffBlocks(const Matrix& x) {
   KernelDiffBlocks blocks;
-  blocks.num_points = x.size();
-  blocks.dim = x.empty() ? 0 : x[0].size();
-  const size_t n = x.size();
+  blocks.num_points = x.rows();
+  blocks.dim = x.cols();
+  const size_t n = x.rows();
   if (n < 2) return blocks;
   blocks.diffs.resize(n * (n - 1) / 2 * blocks.dim);
   double* out = blocks.diffs.data();
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double>& a = x[i];
+    const double* a = x.row(i);
     for (size_t j = i + 1; j < n; ++j) {
-      const std::vector<double>& b = x[j];
+      const double* b = x.row(j);
       for (size_t d = 0; d < blocks.dim; ++d) *out++ = a[d] - b[d];
     }
   }
   return blocks;
 }
 
-uint64_t KernelBlockCache::Fingerprint(
-    const std::vector<std::vector<double>>& x) {
+uint64_t KernelBlockCache::Fingerprint(const Matrix& x) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   auto mix = [&h](const void* bytes, size_t len) {
     const unsigned char* p = static_cast<const unsigned char*>(bytes);
@@ -289,18 +295,13 @@ uint64_t KernelBlockCache::Fingerprint(
       h *= 1099511628211ull;  // FNV prime
     }
   };
-  uint64_t n = x.size();
-  mix(&n, sizeof(n));
-  for (const std::vector<double>& row : x) {
-    uint64_t len = row.size();
-    mix(&len, sizeof(len));
-    mix(row.data(), row.size() * sizeof(double));
-  }
+  const uint64_t shape[2] = {x.rows(), x.cols()};
+  mix(shape, sizeof(shape));
+  mix(x.data().data(), x.rows() * x.cols() * sizeof(double));
   return h;
 }
 
-const KernelDiffBlocks* KernelBlockCache::Get(
-    const std::vector<std::vector<double>>& x) {
+const KernelDiffBlocks* KernelBlockCache::Get(const Matrix& x) {
   const uint64_t key = Fingerprint(x);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->first == key) {

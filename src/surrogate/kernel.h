@@ -49,39 +49,40 @@ class Matern52Kernel {
   /// Covariance from a precomputed difference vector (dim() doubles).
   double FromDiffs(const double* diffs) const;
 
-  /// Gram matrix K with K_ij = k(x_i, x_j).
-  Matrix GramMatrix(const std::vector<std::vector<double>>& x) const;
+  /// Gram matrix K with K_ij = k(x_i, x_j) over the rows of `x`.
+  Matrix GramMatrix(const Matrix& x) const;
 
   /// Gram matrix from precomputed pairwise differences; bit-identical to
   /// GramMatrix(x) for the training set the blocks were built from.
   Matrix GramMatrix(const KernelDiffBlocks& blocks) const;
 
-  /// Cross-covariance vector k(x_*, x_i) for all training points.
-  Vector CrossCovariance(const std::vector<std::vector<double>>& x,
+  /// Cross-covariance vector k(x_*, x_i) for all training rows.
+  Vector CrossCovariance(const Matrix& x,
                          const std::vector<double>& query) const;
 
   /// Batch cross-covariance: K_* with K_*(i, j) = k(x_i, q_j) for query row
   /// j of `queries` (one encoded candidate per row). Column j is
   /// bit-identical to CrossCovariance(x, queries row j).
-  Matrix CrossCovariance(const std::vector<std::vector<double>>& x,
-                         const Matrix& queries) const;
+  Matrix CrossCovariance(const Matrix& x, const Matrix& queries) const;
 
   /// Batch cross-covariance into a caller-owned buffer: `out` is reshaped
-  /// to |x| rows by queries.rows() columns and every entry is overwritten.
+  /// to x.rows() rows by queries.rows() columns and every entry is overwritten.
   /// Identical values to the returning overload; exists so hot callers can
   /// reuse one scratch matrix across calls instead of re-faulting a fresh
   /// allocation per sweep.
-  void CrossCovariance(const std::vector<std::vector<double>>& x,
-                       const Matrix& queries, Matrix* out) const;
+  void CrossCovariance(const Matrix& x, const Matrix& queries,
+                       Matrix* out) const;
 
  private:
+  /// Covariance between two points of dim() doubles each.
+  double Covariance(const double* a, const double* b) const;
+
   std::vector<double> lengthscales_;
   double signal_variance_;
 };
 
-/// Builds the pair-major difference blocks for a training set.
-KernelDiffBlocks BuildKernelDiffBlocks(
-    const std::vector<std::vector<double>>& x);
+/// Builds the pair-major difference blocks for the rows of a training set.
+KernelDiffBlocks BuildKernelDiffBlocks(const Matrix& x);
 
 /// Small LRU cache of KernelDiffBlocks keyed by a fingerprint of the training
 /// set. Rungs of a bracket (and successive refits of one rung) share kept
@@ -97,11 +98,12 @@ class KernelBlockCache {
   /// Returns the blocks for `x`, building and caching them on a miss. The
   /// pointer stays valid until the entry is evicted (at least until
   /// `capacity` newer distinct sets have been requested).
-  const KernelDiffBlocks* Get(const std::vector<std::vector<double>>& x);
+  const KernelDiffBlocks* Get(const Matrix& x);
 
-  /// FNV-1a over the raw bytes of every coordinate plus the row lengths, so
-  /// sets differing only in shape hash differently.
-  static uint64_t Fingerprint(const std::vector<std::vector<double>>& x);
+  /// FNV-1a over the row count, the column count and the raw bytes of the
+  /// row-major data, so sets differing only in shape hash differently. An
+  /// in-memory cache key only: never persisted.
+  static uint64_t Fingerprint(const Matrix& x);
 
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }

@@ -119,64 +119,27 @@ struct RandomForest::FitScratch {
   std::vector<Node> nodes;      // the tree being grown
 };
 
-std::vector<size_t> CapTrainingSet(const std::vector<double>& values,
-                                   size_t max_points) {
-  std::vector<size_t> keep;
-  if (values.size() <= max_points) {
-    keep.resize(values.size());
-    for (size_t i = 0; i < values.size(); ++i) keep[i] = i;
-    return keep;
-  }
-  std::vector<size_t> by_value(values.size());
-  for (size_t i = 0; i < values.size(); ++i) by_value[i] = i;
-  std::sort(by_value.begin(), by_value.end(),
-            [&](size_t a, size_t b) { return values[a] < values[b]; });
-  std::vector<bool> selected(values.size(), false);
-  size_t kept = 0;
-  for (size_t i = 0; i < max_points / 2; ++i) {
-    selected[by_value[i]] = true;
-    ++kept;
-  }
-  for (size_t i = values.size(); i > 0 && kept < max_points; --i) {
-    if (!selected[i - 1]) {
-      selected[i - 1] = true;
-      ++kept;
-    }
-  }
-  keep.reserve(kept);
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (selected[i]) keep.push_back(i);
-  }
-  return keep;
-}
-
 RandomForest::RandomForest(RandomForestOptions options) : options_(options) {}
 
 void RandomForest::SetCategoricalFeatures(std::vector<bool> categorical) {
   categorical_ = std::move(categorical);
 }
 
-Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
-                         const std::vector<double>& y) {
-  if (x.size() != y.size()) {
+Status RandomForest::Fit(const Matrix& x, const std::vector<double>& y) {
+  if (x.rows() != y.size()) {
     return Status::InvalidArgument("RF: |x| != |y|");
   }
-  if (x.empty()) {
+  if (x.rows() == 0) {
     return Status::InvalidArgument("RF: empty training set");
   }
-  const size_t dim = x[0].size();
-  for (const auto& row : x) {
-    if (row.size() != dim) {
-      return Status::InvalidArgument("RF: ragged design matrix");
-    }
-  }
+  const size_t dim = x.cols();
   if (!categorical_.empty() && categorical_.size() != dim) {
     return Status::InvalidArgument("RF: categorical flag size mismatch");
   }
 
   fitted_ = false;
   trees_.clear();
-  num_observations_ = x.size();
+  num_observations_ = x.rows();
   trees_.resize(static_cast<size_t>(std::max(1, options_.num_trees)));
 
   // Cap oversized training sets (max_points == 0 means no cap).
@@ -193,7 +156,7 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   scratch.columns.resize(dim * rows);
   scratch.y.resize(rows);
   for (size_t i = 0; i < rows; ++i) {
-    const std::vector<double>& row = x[keep[i]];
+    const double* row = x.row(keep[i]);
     for (size_t f = 0; f < dim; ++f) scratch.columns[f * rows + i] = row[f];
     scratch.y[i] = y[keep[i]];
   }

@@ -20,18 +20,11 @@ struct RandomForestOptions {
   int thresholds_per_feature = 4;
   /// Train each tree on a bootstrap resample of the data.
   bool bootstrap = true;
-  /// Training sets beyond this cap are subsampled (keeping the best half
-  /// and the most recent half) to bound fitting cost.
+  /// Training sets beyond this cap are subsampled (CapTrainingSet: the best
+  /// half and the most recent) to bound fitting cost; 0 means no cap.
   size_t max_points = 800;
   uint64_t seed = 0;
 };
-
-/// Positions of `values` kept when a training set is capped at
-/// `max_points`: the best (lowest) half, then the most recent positions up
-/// to the cap (data arrives in completion order), in ascending order. All
-/// positions when values.size() <= max_points.
-std::vector<size_t> CapTrainingSet(const std::vector<double>& values,
-                                   size_t max_points);
 
 /// SMAC-style probabilistic regression forest.
 ///
@@ -52,8 +45,8 @@ class RandomForest : public Surrogate {
   /// splits). Must be called before Fit; sizes must then match the data.
   void SetCategoricalFeatures(std::vector<bool> categorical);
 
-  [[nodiscard]] Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y) override;
+  [[nodiscard]] Status Fit(const Matrix& x,
+                           const std::vector<double>& y) override;
   Prediction Predict(const std::vector<double>& x) const override;
   std::vector<Prediction> PredictBatch(const Matrix& x) const override;
   bool fitted() const override { return fitted_; }

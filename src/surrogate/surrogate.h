@@ -1,12 +1,16 @@
 #ifndef HYPERTUNE_SURROGATE_SURROGATE_H_
 #define HYPERTUNE_SURROGATE_SURROGATE_H_
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/linalg/matrix.h"
 
 namespace hypertune {
+
+class KernelBlockCache;
 
 /// Posterior prediction of a probabilistic surrogate at one input point.
 struct Prediction {
@@ -21,8 +25,9 @@ struct Prediction {
 /// which is what makes the multi-fidelity ensemble and the drop-in
 /// replacement of optimizers possible.
 ///
-/// Inputs are unit-cube-encoded configurations (ConfigurationSpace::Encode);
-/// outputs are raw objective values with *lower is better* convention.
+/// Fit and PredictBatch share one layout: a row-major Matrix with one
+/// unit-cube-encoded configuration per row (ConfigurationSpace::EncodeInto).
+/// Outputs are raw objective values with *lower is better* convention.
 /// Implementations standardize targets internally.
 class Surrogate {
  public:
@@ -30,8 +35,8 @@ class Surrogate {
 
   /// Fits the model on design matrix `x` (n rows, d columns) and targets
   /// `y` (n values). Refitting replaces previous state.
-  [[nodiscard]] virtual Status Fit(const std::vector<std::vector<double>>& x,
-                     const std::vector<double>& y) = 0;
+  [[nodiscard]] virtual Status Fit(const Matrix& x,
+                                   const std::vector<double>& y) = 0;
 
   /// Posterior mean/variance at `x`. Requires fitted().
   virtual Prediction Predict(const std::vector<double>& x) const = 0;
@@ -49,6 +54,27 @@ class Surrogate {
   /// Number of observations the model was fitted on (0 if unfitted).
   virtual size_t num_observations() const = 0;
 };
+
+/// Positions of `values` kept when a training set is capped at
+/// `max_points`: the best (lowest) half, then the most recent positions up
+/// to the cap (data arrives in completion order), in ascending order. All
+/// positions when values.size() <= max_points.
+std::vector<size_t> CapTrainingSet(const std::vector<double>& values,
+                                   size_t max_points);
+
+/// Which probabilistic model a model-based sampler fits.
+enum class SurrogateKind {
+  kRandomForest,     ///< robust default for mixed/categorical spaces
+  kGaussianProcess,  ///< preferable for small continuous spaces
+};
+
+/// A fresh, unfitted surrogate of `kind` with default options and `seed`.
+/// The forest splits the dimensions flagged in `categorical` by equality
+/// (ConfigurationSpace::CategoricalMask); the GP ignores the mask and shares
+/// `kernel_cache` when it is set.
+std::unique_ptr<Surrogate> MakeSurrogate(
+    SurrogateKind kind, uint64_t seed, std::vector<bool> categorical,
+    std::shared_ptr<KernelBlockCache> kernel_cache = nullptr);
 
 }  // namespace hypertune
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/linalg/matrix.h"
+#include "src/surrogate/surrogate.h"
 #include "src/surrogate/kernel.h"
 
 namespace hypertune {
@@ -14,6 +16,25 @@ namespace {
 
 /// 1-D test function on the unit interval.
 double Objective(double x) { return std::sin(6.0 * x) + 0.5 * x; }
+
+/// A one-column design matrix holding `values`.
+Matrix Column(const std::vector<double>& values) {
+  Matrix x(values.size(), 1);
+  for (size_t i = 0; i < values.size(); ++i) x(i, 0) = values[i];
+  return x;
+}
+
+/// `n` uniform points on [0, 1) from `seed`, with Objective targets.
+std::pair<Matrix, std::vector<double>> UniformData(size_t n, uint64_t seed) {
+  Matrix x(n, 1);
+  std::vector<double> y;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.Uniform();
+    y.push_back(Objective(x(i, 0)));
+  }
+  return {x, y};
+}
 
 TEST(KernelTest, SelfCovarianceIsSignalVariance) {
   Matern52Kernel k({0.5, 0.5}, 2.0);
@@ -39,8 +60,7 @@ TEST(KernelTest, ArdLengthscalesWeightDimensions) {
 
 TEST(KernelTest, GramMatrixIsSymmetricWithUnitDiagonal) {
   Matern52Kernel k({0.5}, 1.5);
-  std::vector<std::vector<double>> x = {{0.1}, {0.4}, {0.9}};
-  Matrix gram = k.GramMatrix(x);
+  Matrix gram = k.GramMatrix(Column({0.1, 0.4, 0.9}));
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(gram(i, i), 1.5);
     for (size_t j = 0; j < 3; ++j) {
@@ -51,37 +71,38 @@ TEST(KernelTest, GramMatrixIsSymmetricWithUnitDiagonal) {
 
 TEST(GaussianProcessTest, RejectsBadInput) {
   GaussianProcess gp;
-  EXPECT_FALSE(gp.Fit({}, {}).ok());
-  EXPECT_FALSE(gp.Fit({{0.1}}, {1.0, 2.0}).ok());
-  EXPECT_FALSE(gp.Fit({{0.1}, {0.2, 0.3}}, {1.0, 2.0}).ok());
+  EXPECT_EQ(gp.Fit(Matrix(), {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gp.Fit(Matrix(0, 2), {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gp.Fit(Column({0.1}), {1.0, 2.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gp.Fit(Column({0.1, 0.2, 0.3}), {1.0, 2.0}).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(gp.fitted());
 }
 
 TEST(GaussianProcessTest, InterpolatesTrainingData) {
-  std::vector<std::vector<double>> x;
+  Matrix x(13, 1);
   std::vector<double> y;
-  for (int i = 0; i <= 12; ++i) {
-    double v = i / 12.0;
-    x.push_back({v});
-    y.push_back(Objective(v));
+  for (size_t i = 0; i < x.rows(); ++i) {
+    x(i, 0) = static_cast<double>(i) / 12.0;
+    y.push_back(Objective(x(i, 0)));
   }
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y).ok());
   EXPECT_TRUE(gp.fitted());
   EXPECT_EQ(gp.num_observations(), 13u);
-  for (size_t i = 0; i < x.size(); ++i) {
-    Prediction p = gp.Predict(x[i]);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    Prediction p = gp.Predict({x(i, 0)});
     EXPECT_NEAR(p.mean, y[i], 0.12);
   }
 }
 
 TEST(GaussianProcessTest, GeneralizesBetweenPoints) {
-  std::vector<std::vector<double>> x;
+  Matrix x(21, 1);
   std::vector<double> y;
-  for (int i = 0; i <= 20; ++i) {
-    double v = i / 20.0;
-    x.push_back({v});
-    y.push_back(Objective(v));
+  for (size_t i = 0; i < x.rows(); ++i) {
+    x(i, 0) = static_cast<double>(i) / 20.0;
+    y.push_back(Objective(x(i, 0)));
   }
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y).ok());
@@ -92,9 +113,9 @@ TEST(GaussianProcessTest, GeneralizesBetweenPoints) {
 }
 
 TEST(GaussianProcessTest, VarianceGrowsAwayFromData) {
-  std::vector<std::vector<double>> x = {{0.4}, {0.45}, {0.5}, {0.55}, {0.6}};
+  Matrix x = Column({0.4, 0.45, 0.5, 0.55, 0.6});
   std::vector<double> y;
-  for (const auto& xi : x) y.push_back(Objective(xi[0]));
+  for (size_t i = 0; i < x.rows(); ++i) y.push_back(Objective(x(i, 0)));
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y).ok());
   double var_inside = gp.Predict({0.5}).variance;
@@ -103,13 +124,12 @@ TEST(GaussianProcessTest, VarianceGrowsAwayFromData) {
 }
 
 TEST(GaussianProcessTest, HyperparameterFitImprovesLikelihood) {
-  std::vector<std::vector<double>> x;
+  Matrix x(25, 1);
   std::vector<double> y;
   Rng rng(5);
-  for (int i = 0; i < 25; ++i) {
-    double v = rng.Uniform();
-    x.push_back({v});
-    y.push_back(Objective(v) + 0.01 * rng.Gaussian());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    x(i, 0) = rng.Uniform();
+    y.push_back(Objective(x(i, 0)) + 0.01 * rng.Gaussian());
   }
   GaussianProcessOptions fixed;
   fixed.optimize_hyperparameters = false;
@@ -123,14 +143,7 @@ TEST(GaussianProcessTest, HyperparameterFitImprovesLikelihood) {
 }
 
 TEST(GaussianProcessTest, DeterministicGivenSeed) {
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  Rng rng(6);
-  for (int i = 0; i < 15; ++i) {
-    double v = rng.Uniform();
-    x.push_back({v});
-    y.push_back(Objective(v));
-  }
+  auto [x, y] = UniformData(15, 6);
   GaussianProcessOptions options;
   options.seed = 11;
   GaussianProcess a(options), b(options);
@@ -148,22 +161,43 @@ TEST(GaussianProcessTest, SubsamplesBeyondCap) {
   options.num_restarts = 2;
   options.refine_sweeps = 0;
   GaussianProcess gp(options);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    double v = rng.Uniform();
-    x.push_back({v});
-    y.push_back(Objective(v));
-  }
+  auto [x, y] = UniformData(200, 7);
   ASSERT_TRUE(gp.Fit(x, y).ok());
   EXPECT_EQ(gp.num_observations(), 50u);
   // Still a sane model.
   EXPECT_NEAR(gp.Predict({0.5}).mean, Objective(0.5), 0.4);
 }
 
+TEST(GaussianProcessTest, CapKeepsTheRowsCapTrainingSetSelects) {
+  // The GP subsamples through the shared cap: a capped fit must equal a
+  // fit on exactly the rows CapTrainingSet keeps (fixed hyper-parameters,
+  // so the restart seed, which counts all rows, plays no part).
+  GaussianProcessOptions options;
+  options.optimize_hyperparameters = false;
+  options.max_points = 50;
+  auto [x, y] = UniformData(200, 7);
+  GaussianProcess capped(options);
+  ASSERT_TRUE(capped.Fit(x, y).ok());
+
+  const std::vector<size_t> keep = CapTrainingSet(y, 50);
+  ASSERT_EQ(keep.size(), 50u);
+  std::vector<double> kept_y;
+  for (size_t i : keep) kept_y.push_back(y[i]);
+  GaussianProcess reference(options);
+  ASSERT_TRUE(reference.Fit(x.SelectRows(keep), kept_y).ok());
+
+  EXPECT_DOUBLE_EQ(capped.log_marginal_likelihood(),
+                   reference.log_marginal_likelihood());
+  for (double v : {0.05, 0.3, 0.5, 0.77, 0.95}) {
+    Prediction pc = capped.Predict({v});
+    Prediction pr = reference.Predict({v});
+    EXPECT_DOUBLE_EQ(pc.mean, pr.mean) << "at " << v;
+    EXPECT_DOUBLE_EQ(pc.variance, pr.variance) << "at " << v;
+  }
+}
+
 TEST(GaussianProcessTest, ConstantTargetsHandled) {
-  std::vector<std::vector<double>> x = {{0.1}, {0.5}, {0.9}};
+  Matrix x = Column({0.1, 0.5, 0.9});
   std::vector<double> y = {2.0, 2.0, 2.0};
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y).ok());
@@ -189,14 +223,7 @@ TEST(GaussianProcessTest, ClampedKernelParamsClampsOutOfBounds) {
 }
 
 TEST(GaussianProcessTest, FitInstallsInBoundsParameters) {
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  Rng rng(9);
-  for (int i = 0; i < 30; ++i) {
-    double v = rng.Uniform();
-    x.push_back({v});
-    y.push_back(Objective(v));
-  }
+  auto [x, y] = UniformData(30, 9);
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y).ok());
   // Installed parameters always lie in the clamped (scored) region.
@@ -219,21 +246,9 @@ TEST(GaussianProcessTest, RestartSeedDerivedFromTotalCount) {
   options.max_points = 50;
   options.num_restarts = 2;
   options.refine_sweeps = 0;
-  auto make_data = [](int n) {
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    Rng rng(7);
-    for (int i = 0; i < n; ++i) {
-      double v = rng.Uniform();
-      x.push_back({v});
-      y.push_back(Objective(v));
-    }
-    return std::make_pair(x, y);
-  };
-
   GaussianProcess a(options), b(options);
-  auto [xa, ya] = make_data(60);
-  auto [xb, yb] = make_data(61);
+  auto [xa, ya] = UniformData(60, 7);
+  auto [xb, yb] = UniformData(61, 7);
   ASSERT_TRUE(a.Fit(xa, ya).ok());
   ASSERT_TRUE(b.Fit(xb, yb).ok());
   EXPECT_EQ(a.num_observations(), 50u);
@@ -245,12 +260,13 @@ TEST(GaussianProcessTest, RestartSeedDerivedFromTotalCount) {
 }
 
 TEST(GaussianProcessTest, KernelCachePreservesBitsAndCountsHits) {
-  std::vector<std::vector<double>> x;
+  Matrix x(20, 2);
   std::vector<double> y;
   Rng rng(13);
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double v = rng.Uniform();
-    x.push_back({v, v * v});
+    x(i, 0) = v;
+    x(i, 1) = v * v;
     y.push_back(Objective(v));
   }
   GaussianProcessOptions plain;
@@ -287,10 +303,17 @@ TEST(GaussianProcessTest, KernelCachePreservesBitsAndCountsHits) {
 }
 
 TEST(KernelTest, FingerprintSensitiveToShapeAndValues) {
-  uint64_t base = KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_NE(base, KernelBlockCache::Fingerprint({{1.0, 2.0, 3.0, 4.0}}));
-  EXPECT_NE(base, KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 5.0}}));
-  EXPECT_EQ(base, KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 4.0}}));
+  auto filled = [](size_t rows, size_t cols, std::vector<double> values) {
+    Matrix m(rows, cols);
+    m.data() = std::move(values);
+    return m;
+  };
+  uint64_t base = KernelBlockCache::Fingerprint(filled(2, 2, {1, 2, 3, 4}));
+  // Same data block, different shape.
+  EXPECT_NE(base, KernelBlockCache::Fingerprint(filled(1, 4, {1, 2, 3, 4})));
+  EXPECT_NE(base, KernelBlockCache::Fingerprint(filled(4, 1, {1, 2, 3, 4})));
+  EXPECT_NE(base, KernelBlockCache::Fingerprint(filled(2, 2, {1, 2, 3, 5})));
+  EXPECT_EQ(base, KernelBlockCache::Fingerprint(filled(2, 2, {1, 2, 3, 4})));
 }
 
 }  // namespace

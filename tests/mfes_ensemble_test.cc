@@ -11,8 +11,7 @@ class StubSurrogate : public Surrogate {
   StubSurrogate(double mean, double variance, bool fitted = true)
       : mean_(mean), variance_(variance), fitted_(fitted) {}
 
-  Status Fit(const std::vector<std::vector<double>>&,
-             const std::vector<double>&) override {
+  Status Fit(const Matrix&, const std::vector<double>&) override {
     fitted_ = true;
     return Status::Ok();
   }
@@ -103,7 +102,7 @@ TEST(MfesEnsembleTest, NotFittedWithoutUsableMembers) {
 
 TEST(MfesEnsembleTest, DirectFitIsRefused) {
   MfesEnsemble ensemble;
-  EXPECT_EQ(ensemble.Fit({{0.1}}, {1.0}).code(),
+  EXPECT_EQ(ensemble.Fit(Matrix(1, 1, 0.1), {1.0}).code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -17,21 +17,28 @@ double Smooth2d(double a, double b) {
 
 TEST(RandomForestTest, RejectsBadInput) {
   RandomForest rf;
-  EXPECT_FALSE(rf.Fit({}, {}).ok());
-  EXPECT_FALSE(rf.Fit({{0.1}}, {1.0, 2.0}).ok());
-  EXPECT_FALSE(rf.Fit({{0.1}, {0.2, 0.3}}, {1.0, 2.0}).ok());
+  EXPECT_EQ(rf.Fit(Matrix(), {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rf.Fit(Matrix(0, 2), {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rf.Fit(Matrix(1, 1, 0.1), {1.0, 2.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rf.Fit(Matrix(3, 1, 0.1), {1.0, 2.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(rf.fitted());
   RandomForest rf2;
   rf2.SetCategoricalFeatures({true});  // dim mismatch vs 2-feature data
-  EXPECT_FALSE(rf2.Fit({{0.1, 0.2}, {0.3, 0.4}}, {1.0, 2.0}).ok());
+  EXPECT_EQ(rf2.Fit(Matrix(2, 2, 0.5), {1.0, 2.0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(rf2.fitted());
 }
 
 TEST(RandomForestTest, FitsSmoothFunction) {
-  std::vector<std::vector<double>> x;
+  Matrix x(400, 2);
   std::vector<double> y;
   Rng rng(1);
-  for (int i = 0; i < 400; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform(), b = rng.Uniform();
-    x.push_back({a, b});
+    x(i, 0) = a;
+    x(i, 1) = b;
     y.push_back(Smooth2d(a, b));
   }
   RandomForest rf;
@@ -49,12 +56,13 @@ TEST(RandomForestTest, FitsSmoothFunction) {
 }
 
 TEST(RandomForestTest, IdentifiesTheMinimumRegion) {
-  std::vector<std::vector<double>> x;
+  Matrix x(500, 2);
   std::vector<double> y;
   Rng rng(3);
-  for (int i = 0; i < 500; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform(), b = rng.Uniform();
-    x.push_back({a, b});
+    x(i, 0) = a;
+    x(i, 1) = b;
     y.push_back(Smooth2d(a, b));
   }
   RandomForest rf;
@@ -67,12 +75,13 @@ TEST(RandomForestTest, IdentifiesTheMinimumRegion) {
 TEST(RandomForestTest, CategoricalSplitSeparatesGroups) {
   // Feature 0 categorical with encoded values {0.25, 0.75}; target depends
   // only on the category.
-  std::vector<std::vector<double>> x;
+  Matrix x(200, 2);
   std::vector<double> y;
   Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     bool group = rng.Bernoulli(0.5);
-    x.push_back({group ? 0.75 : 0.25, rng.Uniform()});
+    x(i, 0) = group ? 0.75 : 0.25;
+    x(i, 1) = rng.Uniform();
     y.push_back(group ? 5.0 : -5.0);
   }
   RandomForest rf;
@@ -84,12 +93,12 @@ TEST(RandomForestTest, CategoricalSplitSeparatesGroups) {
 
 TEST(RandomForestTest, VarianceHigherInNoisyRegion) {
   // Left half: constant target. Right half: very noisy target.
-  std::vector<std::vector<double>> x;
+  Matrix x(600, 1);
   std::vector<double> y;
   Rng rng(5);
-  for (int i = 0; i < 600; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform();
-    x.push_back({a});
+    x(i, 0) = a;
     y.push_back(a < 0.5 ? 1.0 : rng.Gaussian(1.0, 3.0));
   }
   RandomForest rf;
@@ -98,12 +107,12 @@ TEST(RandomForestTest, VarianceHigherInNoisyRegion) {
 }
 
 TEST(RandomForestTest, DeterministicGivenSeed) {
-  std::vector<std::vector<double>> x;
+  Matrix x(100, 1);
   std::vector<double> y;
   Rng rng(6);
-  for (int i = 0; i < 100; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform();
-    x.push_back({a});
+    x(i, 0) = a;
     y.push_back(Smooth2d(a, a));
   }
   RandomForestOptions options;
@@ -119,7 +128,7 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
 
 TEST(RandomForestTest, SingleSampleBecomesLeaf) {
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit({{0.5}}, {3.0}).ok());
+  ASSERT_TRUE(rf.Fit(Matrix(1, 1, 0.5), {3.0}).ok());
   Prediction p = rf.Predict({0.1});
   EXPECT_DOUBLE_EQ(p.mean, 3.0);
 }
@@ -128,12 +137,12 @@ TEST(RandomForestTest, CapLimitsTrainingSize) {
   RandomForestOptions options;
   options.max_points = 64;
   RandomForest rf(options);
-  std::vector<std::vector<double>> x;
+  Matrix x(1000, 1);
   std::vector<double> y;
   Rng rng(8);
-  for (int i = 0; i < 1000; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform();
-    x.push_back({a});
+    x(i, 0) = a;
     y.push_back(Smooth2d(a, 0.7));
   }
   ASSERT_TRUE(rf.Fit(x, y).ok());
@@ -142,12 +151,12 @@ TEST(RandomForestTest, CapLimitsTrainingSize) {
 }
 
 TEST(RandomForestTest, PredictiveVarianceIsPositive) {
-  std::vector<std::vector<double>> x;
+  Matrix x(50, 1);
   std::vector<double> y;
   Rng rng(9);
-  for (int i = 0; i < 50; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     double a = rng.Uniform();
-    x.push_back({a});
+    x(i, 0) = a;
     y.push_back(a);
   }
   RandomForest rf;
@@ -162,15 +171,15 @@ TEST(RandomForestTest, PredictiveVarianceIsPositive) {
 /// 1 are categorical in {0, 1, 2}, features 2..4 numeric in [0, 1).
 uint64_t ForestPredictionDigest(RandomForestOptions options, int n) {
   Rng rng(31);
-  std::vector<std::vector<double>> x;
+  Matrix x(static_cast<size_t>(n), 5);
   std::vector<double> y;
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> row = {static_cast<double>(rng.UniformInt(0, 2)),
-                               static_cast<double>(rng.UniformInt(0, 2)),
-                               rng.Uniform(), rng.Uniform(), rng.Uniform()};
+  for (size_t i = 0; i < x.rows(); ++i) {
+    double* row = x.row(i);
+    row[0] = static_cast<double>(rng.UniformInt(0, 2));
+    row[1] = static_cast<double>(rng.UniformInt(0, 2));
+    for (size_t c = 2; c < 5; ++c) row[c] = rng.Uniform();
     y.push_back((row[0] == 1.0 ? -1.0 : 0.0) + 0.5 * row[1] +
                 Smooth2d(row[2], row[3]) + 0.1 * rng.Uniform());
-    x.push_back(std::move(row));
   }
   RandomForest rf(options);
   rf.SetCategoricalFeatures({true, true, false, false, false});

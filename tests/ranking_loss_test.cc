@@ -84,7 +84,8 @@ TEST(FitSurrogateTest, LearnsRanking) {
   }
   std::unique_ptr<Surrogate> model = FitSurrogate(space, fit_on, RfFactory(2));
   ASSERT_NE(model, nullptr);
-  std::vector<double> pred = PredictMeans(model.get(), space, eval_at);
+  std::vector<double> pred =
+      PredictMeans(model.get(), EncodeMeasurements(space, eval_at));
   ASSERT_EQ(pred.size(), 3u);
   EXPECT_LT(pred[0], pred[1]);
   EXPECT_LT(pred[1], pred[2]);
@@ -96,7 +97,8 @@ TEST(FitSurrogateTest, TooLittleDataGivesNoModel) {
   std::vector<Measurement> one = {{Configuration({0.5}), 1.0}};
   std::vector<Measurement> eval_at = {{Configuration({0.1}), 0.1}};
   EXPECT_EQ(FitSurrogate(space, one, RfFactory(3)), nullptr);
-  EXPECT_TRUE(PredictMeans(nullptr, space, eval_at).empty());
+  EXPECT_TRUE(
+      PredictMeans(nullptr, EncodeMeasurements(space, eval_at)).empty());
 }
 
 TEST(CrossValidationPredictionsTest, ShapeAndSanity) {
@@ -108,12 +110,12 @@ TEST(CrossValidationPredictionsTest, ShapeAndSanity) {
     double v = rng.Uniform();
     data.push_back({Configuration({v}), v});
   }
-  std::vector<double> pred =
-      CrossValidationPredictions(space, data, 5, RfFactory(5), 6);
-  ASSERT_EQ(pred.size(), data.size());
-  // Held-out predictions should still broadly rank the data correctly.
   std::vector<double> truths;
   for (const Measurement& m : data) truths.push_back(m.objective);
+  std::vector<double> pred = CrossValidationPredictions(
+      EncodeMeasurements(space, data), truths, 5, RfFactory(5), 6);
+  ASSERT_EQ(pred.size(), data.size());
+  // Held-out predictions should still broadly rank the data correctly.
   int64_t loss = CountMisrankedPairs(pred, truths);
   int64_t max_loss = static_cast<int64_t>(data.size() * data.size());
   EXPECT_LT(loss, max_loss / 4);
@@ -124,8 +126,9 @@ TEST(CrossValidationPredictionsTest, TooFewPointsReturnsEmpty) {
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
   std::vector<Measurement> data = {{Configuration({0.1}), 0.1},
                                    {Configuration({0.9}), 0.9}};
-  EXPECT_TRUE(
-      CrossValidationPredictions(space, data, 5, RfFactory(7), 8).empty());
+  EXPECT_TRUE(CrossValidationPredictions(EncodeMeasurements(space, data),
+                                         {0.1, 0.9}, 5, RfFactory(7), 8)
+                  .empty());
 }
 
 class FidelityWeightsTest : public ::testing::Test {

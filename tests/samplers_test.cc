@@ -73,7 +73,8 @@ TEST(MedianImputationTest, BuildsDataFromGroup) {
   store.Add(1, Configuration({0.1, 0.2}), 1.0);
   store.Add(1, Configuration({0.3, 0.4}), 3.0);
   SurrogateData data = BuildSurrogateData(space, store, 1);
-  EXPECT_EQ(data.x.size(), 2u);
+  EXPECT_EQ(data.x.rows(), 2u);
+  EXPECT_EQ(data.x.cols(), space.size());
   EXPECT_EQ(data.num_real, 2u);
   EXPECT_EQ(data.num_imputed, 0u);
   EXPECT_DOUBLE_EQ(data.y[0], 1.0);
@@ -93,6 +94,19 @@ TEST(MedianImputationTest, PendingImputedAtMedian) {
   ASSERT_EQ(data.y.size(), 5u);
   EXPECT_DOUBLE_EQ(data.y[3], 3.0);  // median of {1, 3, 5}
   EXPECT_DOUBLE_EQ(data.y[4], 3.0);
+  // Growing the matrix for the imputed rows keeps the measured rows, and
+  // every row holds its configuration's encoding.
+  ASSERT_EQ(data.x.rows(), 5u);
+  const std::vector<Measurement>& group = store.group(1);
+  std::vector<Configuration> configs;
+  for (const Measurement& m : group) configs.push_back(m.config);
+  for (const Configuration& c : store.PendingConfigs(1)) configs.push_back(c);
+  for (size_t r = 0; r < data.x.rows(); ++r) {
+    std::vector<double> expected = space.Encode(configs[r]);
+    for (size_t d = 0; d < space.size(); ++d) {
+      EXPECT_EQ(data.x(r, d), expected[d]) << "row " << r;
+    }
+  }
 }
 
 TEST(MedianImputationTest, OnlyImputesPendingAtTheFittedLevel) {
@@ -185,13 +199,13 @@ TEST(BoSamplerTest, FitsHighestLevelWithEnoughData) {
 TEST(MaximizeAcquisitionTest, ReturnsNulloptWhenAllKnown) {
   ConfigurationSpace space = TinyDiscreteSpace();
   MeasurementStore store(1);
-  std::vector<std::vector<double>> x;
+  Matrix x(4, space.size());
   std::vector<double> y;
   for (double a : {0.0, 1.0}) {
     for (double b : {0.0, 1.0}) {
       Configuration c({a, b});
       store.Add(1, c, a + b);
-      x.push_back(space.Encode(c));
+      space.EncodeInto(c, x.row(y.size()));
       y.push_back(a + b);
     }
   }

@@ -22,17 +22,19 @@ double Objective(const std::vector<double>& x) {
 }
 
 struct TrainingData {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
 };
 
-TrainingData MakeData(int n, uint64_t seed) {
+TrainingData MakeData(size_t n, uint64_t seed) {
   TrainingData data;
+  data.x = Matrix(n, 2);
   Rng rng(seed);
-  for (int i = 0; i < n; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     std::vector<double> p = {rng.Uniform(), rng.Uniform()};
     data.y.push_back(Objective(p) + 0.01 * rng.Gaussian());
-    data.x.push_back(std::move(p));
+    data.x(i, 0) = p[0];
+    data.x(i, 1) = p[1];
   }
   return data;
 }
@@ -159,92 +161,6 @@ TEST(PredictBatchTest, DefaultImplementationCoversBaseClass) {
     EXPECT_DOUBLE_EQ(batch[r].mean, fast[r].mean);
     EXPECT_DOUBLE_EQ(batch[r].variance, fast[r].variance);
   }
-}
-
-TEST(GpAppendTest, AppendBitIdenticalToRefitWithFixedHyperparameters) {
-  // Append keeps hyper-parameters, so the reference is a fresh fit on the
-  // extended data with optimization off (same default parameters both ways).
-  TrainingData data = MakeData(25, 10);
-  std::vector<double> extra = {0.42, 0.77};
-  double extra_y = Objective(extra);
-
-  GaussianProcessOptions options;
-  options.optimize_hyperparameters = false;
-  GaussianProcess incremental(options);
-  ASSERT_TRUE(incremental.Fit(data.x, data.y).ok());
-  ASSERT_TRUE(incremental.Append(extra, extra_y).ok());
-
-  TrainingData extended = data;
-  extended.x.push_back(extra);
-  extended.y.push_back(extra_y);
-  GaussianProcess refit(options);
-  ASSERT_TRUE(refit.Fit(extended.x, extended.y).ok());
-
-  EXPECT_EQ(incremental.num_observations(), 26u);
-  EXPECT_DOUBLE_EQ(incremental.log_marginal_likelihood(),
-                   refit.log_marginal_likelihood());
-  for (double v : {0.1, 0.42, 0.9}) {
-    Prediction pi = incremental.Predict({v, 1.0 - v});
-    Prediction pr = refit.Predict({v, 1.0 - v});
-    EXPECT_DOUBLE_EQ(pi.mean, pr.mean) << "at " << v;
-    EXPECT_DOUBLE_EQ(pi.variance, pr.variance) << "at " << v;
-  }
-}
-
-TEST(GpAppendTest, SequentialAppendsStayConsistent) {
-  TrainingData data = MakeData(20, 11);
-  GaussianProcessOptions options;
-  options.optimize_hyperparameters = false;
-  GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
-  TrainingData extended = data;
-  Rng rng(211);
-  for (int i = 0; i < 5; ++i) {
-    std::vector<double> p = {rng.Uniform(), rng.Uniform()};
-    double y = Objective(p);
-    ASSERT_TRUE(gp.Append(p, y).ok());
-    extended.x.push_back(p);
-    extended.y.push_back(y);
-  }
-  GaussianProcess refit(options);
-  ASSERT_TRUE(refit.Fit(extended.x, extended.y).ok());
-  Prediction pi = gp.Predict({0.5, 0.5});
-  Prediction pr = refit.Predict({0.5, 0.5});
-  EXPECT_DOUBLE_EQ(pi.mean, pr.mean);
-  EXPECT_DOUBLE_EQ(pi.variance, pr.variance);
-}
-
-TEST(GpAppendTest, RejectsBeforeFit) {
-  GaussianProcess gp;
-  EXPECT_EQ(gp.Append({0.5, 0.5}, 1.0).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(GpAppendTest, RejectsDimensionMismatch) {
-  TrainingData data = MakeData(15, 12);
-  GaussianProcessOptions options;
-  options.optimize_hyperparameters = false;
-  GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
-  EXPECT_EQ(gp.Append({0.5}, 1.0).code(), StatusCode::kInvalidArgument);
-  // Model still usable after the rejected append.
-  EXPECT_EQ(gp.num_observations(), 15u);
-  Prediction p = gp.Predict({0.5, 0.5});
-  EXPECT_TRUE(std::isfinite(p.mean));
-}
-
-TEST(GpAppendTest, RejectsAtSubsampleCap) {
-  // Past the cap Fit re-selects the kept subset, which an O(n^2) append
-  // cannot reproduce — the model must refuse rather than silently diverge.
-  TrainingData data = MakeData(20, 13);
-  GaussianProcessOptions options;
-  options.optimize_hyperparameters = false;
-  options.max_points = 20;
-  GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
-  EXPECT_EQ(gp.Append({0.5, 0.5}, 1.0).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(gp.num_observations(), 20u);
 }
 
 }  // namespace
